@@ -106,14 +106,44 @@ def operator_kernel(kind, al, au, bl, bu):
 # --- element-level helpers (elements are tuples of (lo, up) tuples) ---
 
 
+# Two raw midpoint sums further apart than this always round apart.  round()
+# moves a sum by at most half a unit in the 12th decimal (plus half an ulp), so
+# two sums more than 10 such units apart keep a gap after rounding; and
+# rounding is monotone, so the rounded sums order as the raw sums do.  Only a
+# near-tie needs the full quantized key.
+_NEAR_TIE = 10 ** -(_MID_DECIMALS - 1)
+
+
+def _rank_order(intervals):
+    """The ``sorted(intervals, key=rank_key)`` tuple, cheap for 0-2 intervals."""
+    n = len(intervals)
+    if n < 2:
+        return tuple(intervals)
+    if n == 2:
+        a, b = intervals
+        d = (a[0] + a[1]) - (b[0] + b[1])
+        if d > _NEAR_TIE:
+            return (b, a)
+        if d < -_NEAR_TIE:
+            return (a, b)
+        # near-tie (or NaN): the exact comparison sorted() would make
+        if rank_key(b[0], b[1]) < rank_key(a[0], a[1]):
+            return (b, a)
+        return (a, b)
+    # inlined copy of rank_key's body, which stays the definition of the order
+    return tuple(
+        sorted(intervals, key=lambda iv: (round(iv[0] + iv[1], _MID_DECIMALS), iv[0], iv[1]))
+    )
+
+
 def sort_element(intervals):
     """Canonical ascending order under the possibility-degree ranking."""
-    return tuple(sorted(intervals, key=lambda iv: rank_key(iv[0], iv[1])))
+    return _rank_order(intervals)
 
 
 def dedup_element(intervals):
     """Sorted element with exact-duplicate intervals collapsed."""
-    return tuple(sorted(set(intervals), key=lambda iv: rank_key(iv[0], iv[1])))
+    return _rank_order(set(intervals))
 
 
 def extend_element(intervals, size, optimistic):
@@ -128,11 +158,13 @@ def extend_element(intervals, size, optimistic):
 
 def zip_combine(union, e1, e2, optimistic):
     """Index-wise join/meet after padding; result is NOT re-sorted."""
-    n = len(e1) if len(e1) >= len(e2) else len(e2)
-    a = extend_element(e1, n, optimistic)
-    b = extend_element(e2, n, optimistic)
+    n1, n2 = len(e1), len(e2)
+    if n1 < n2:
+        e1 = extend_element(e1, n2, optimistic)
+    elif n2 < n1:
+        e2 = extend_element(e2, n1, optimistic)
     k = join_kernel if union else meet_kernel
-    return tuple(k(x[0], x[1], y[0], y[1]) for x, y in zip(a, b))
+    return tuple([k(x[0], x[1], y[0], y[1]) for x, y in zip(e1, e2)])
 
 
 def combine_aligned(union, e1, e2, optimistic):

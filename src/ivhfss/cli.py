@@ -14,8 +14,8 @@ import warnings
 
 from .elements import AlignmentPolicy, CombineMode, score
 from .errors import IvhfssError
-from .intervals import rank_compare, UnitInterval, Verdict
-from .io import CanonicalizationWarning, dump_file, load_file, serialize_document
+from .intervals import rank_compare, rank_key, UnitInterval, Verdict
+from .io import CanonicalizationWarning, load_file, serialize_document
 from .laws import CheckConfig, run_suite, suite_to_json
 from .softsets import (
     IVHFSoftSet,
@@ -117,11 +117,19 @@ def _load(path: str) -> IVHFSoftSet:
             raise IvhfssError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IvhfssError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(soft_set: IVHFSoftSet, output: str | None) -> None:
     if output is None:
         sys.stdout.write(serialize_document(soft_set))
     else:
-        dump_file(output, soft_set)
+        _write(output, serialize_document(soft_set))
 
 
 def score_table(soft_set: IVHFSoftSet) -> dict:
@@ -147,11 +155,7 @@ def mean_scores(soft_set: IVHFSoftSet) -> dict[str, UnitInterval]:
 def rank_objects(soft_set: IVHFSoftSet) -> list[dict]:
     """Best-first groups of objects; a group holds rank ties."""
     means = mean_scores(soft_set)
-    ordered = sorted(
-        soft_set.universe,
-        key=lambda h: (means[h].midpoint, means[h].lower, means[h].upper),
-        reverse=True,
-    )
+    ordered = sorted(soft_set.universe, key=lambda h: rank_key(means[h]), reverse=True)
     groups: list[dict] = []
     for h in ordered:
         if groups:
@@ -200,9 +204,13 @@ def _run(args) -> int:
         json.dump(rank_objects(_load(args.input)), sys.stdout, indent=2)
         sys.stdout.write("\n")
     elif args.command == "check-laws":
-        config = CheckConfig(
-            grid_step=args.grid_step, random_trials=args.trials, seed=args.seed
-        )
+        try:
+            config = CheckConfig(
+                grid_step=args.grid_step, random_trials=args.trials, seed=args.seed
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         reports = run_suite(config)
         for r in reports:
             line = f"{r.law_id:10s} {r.status}"
@@ -212,9 +220,7 @@ def _run(args) -> int:
                 line += f" (shrunk {r.shrink_steps} steps)"
             print(line)
         if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                json.dump(suite_to_json(reports), fh, indent=2)
-                fh.write("\n")
+            _write(args.report, json.dumps(suite_to_json(reports), indent=2) + "\n")
     elif args.command == "family-union":
         members = [_load(p) for p in args.inputs]
         _emit(family_union(members, AlignmentPolicy(args.align), CombineMode(args.mode)), args.output)

@@ -48,7 +48,7 @@ def _parse_cell(parameter: str, obj: str, raw) -> IVHFE:
         )
         try:
             intervals.append(construct_interval(float(pair[0]), float(pair[1])))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise SchemaError(f"cell {parameter}/{obj}: {exc}") from exc
     element = canonicalize(intervals)
     if element.as_tuples() != tuple((iv.lower, iv.upper) for iv in intervals):

@@ -16,6 +16,7 @@ import hashlib
 import random
 from itertools import combinations_with_replacement
 
+from ..backend import kernels
 from .evaluate import RawSoft
 
 
@@ -51,8 +52,6 @@ def random_interval(rng: random.Random, step: float, snap: bool) -> tuple[float,
 
 
 def random_element(rng: random.Random, step: float, max_size: int, snap: bool) -> tuple:
-    from ..backend import kernels
-
     size = rng.randint(1, max_size)
     return kernels.sort_element([random_interval(rng, step, snap) for _ in range(size)])
 

@@ -140,6 +140,24 @@ class TestOtherCommands:
         assert len(groups) == 1
         assert sorted(groups[0]["objects"]) == ["a", "b"]
 
+    def test_rank_uses_library_order_on_midpoint_tie(self, tmp_path, capsys):
+        # 0.4+0.8 and 0.5+0.7 differ only by IEEE noise; the tie goes to the
+        # larger lower endpoint, as rank_compare says
+        path = tmp_path / "tie.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "universe": ["h1", "h2"],
+                    "parameters": ["e1"],
+                    "values": {"e1": {"h1": [[0.4, 0.8]], "h2": [[0.5, 0.7]]}},
+                }
+            )
+        )
+        code, stdout, _ = run(capsys, "rank", str(path))
+        assert code == 0
+        groups = json.loads(stdout)
+        assert [g["objects"] for g in groups] == [["h2"], ["h1"]]
+
 
 class TestErrorPaths:
     def test_missing_file_exits_2(self, capsys):
@@ -162,6 +180,22 @@ class TestErrorPaths:
         assert run(capsys, "union", FA)[0] == 1
         assert run(capsys, "no-such-command")[0] == 1
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.json"
+        code, _, err = run(capsys, "complement", FA, "-o", str(out))
+        assert code == 2
+        assert err.startswith("error: cannot write")
+
+    def test_endpoint_too_large_for_float_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "huge.json"
+        bad.write_text(
+            '{"universe": ["h1"], "parameters": ["e1"],'
+            ' "values": {"e1": {"h1": [[0, 1' + "0" * 400 + ']]}}}'
+        )
+        code, _, err = run(capsys, "complement", str(bad))
+        assert code == 2
+        assert err.startswith("error: cell e1/h1")
+
 
 class TestCheckLaws:
     def test_small_run_writes_report(self, tmp_path, capsys):
@@ -178,3 +212,18 @@ class TestCheckLaws:
         for d in data:
             assert d["status"] in ("holds", "violated")
             assert {"law_id", "status", "trials_run", "equality_used"} <= set(d)
+
+    @pytest.mark.parametrize("flag", [("--trials", "0"), ("--grid-step", "0")])
+    def test_invalid_config_exits_1(self, capsys, flag):
+        code, stdout, err = run(capsys, "check-laws", *flag)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: ")
+
+    def test_unwritable_report_exits_2(self, tmp_path, capsys):
+        report = tmp_path / "missing" / "report.json"
+        code, _, err = run(
+            capsys, "check-laws", "--trials", "1", "--grid-step", "1", "--report", str(report)
+        )
+        assert code == 2
+        assert err.startswith("error: cannot write")

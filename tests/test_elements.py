@@ -1,8 +1,9 @@
 """Element-level operations against the worked-example cells."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from ivhfss import _kernels_py as kernels
 from ivhfss import (
     AlignmentPolicy,
     CombineMode,
@@ -219,3 +220,61 @@ class TestEquality:
     def test_tolerance(self):
         assert strict_equal(elem((0.3, 0.8)), elem((0.3 + 1e-12, 0.8)))
         assert not strict_equal(elem((0.3, 0.8)), elem((0.3 + 1e-6, 0.8)))
+
+
+# intervals as raw float pairs: the kernels order any pair, so -0.0 and
+# endpoints outside [0,1] (from a near-tie partner) are fair inputs
+endpoint = st.one_of(unit, st.sampled_from([0.0, -0.0, 0.4, 0.5, 0.7, 0.8]))
+
+
+@st.composite
+def tie_prone(draw, min_size=0, max_size=6):
+    """Interval lists planted with exact duplicates and midpoint near-ties."""
+    out = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        kind = draw(st.sampled_from(["fresh", "duplicate", "near_tie"])) if out else "fresh"
+        if kind == "fresh":
+            out.append((draw(endpoint), draw(endpoint)))
+        elif kind == "duplicate":
+            out.append(draw(st.sampled_from(out)))
+        else:
+            lo, up = draw(st.sampled_from(out))
+            total = lo + up + draw(st.floats(-1e-10, 1e-10))
+            other = draw(endpoint)
+            out.append((other, total - other))
+    return out
+
+
+def by_rank(intervals):
+    return tuple(sorted(intervals, key=lambda iv: kernels.rank_key(iv[0], iv[1])))
+
+
+def pad_then_zip(union, e1, e2, optimistic):
+    n = max(len(e1), len(e2))
+
+    def pad(e):
+        extra = n - len(e)
+        return tuple(e) + (e[-1],) * extra if optimistic else (e[0],) * extra + tuple(e)
+
+    k = kernels.join_kernel if union else kernels.meet_kernel
+    return tuple(k(x[0], x[1], y[0], y[1]) for x, y in zip(pad(e1), pad(e2)))
+
+
+class TestCanonicalOrderKernels:
+    @given(tie_prone())
+    @example([(0.4, 0.8), (0.5, 0.7)])
+    @example([(0.5, 0.7), (0.4, 0.8)])
+    @example([(0.0, 0.5), (-0.0, 0.5), (0.0, 0.5)])
+    @example([(-0.0, 0.3), (0.3, 0.0)])
+    def test_sort_and_dedup_follow_rank_key(self, intervals):
+        for given_as in (intervals, tuple(intervals)):
+            # repr tells -0.0 from 0.0, which == does not
+            assert repr(kernels.sort_element(given_as)) == repr(by_rank(given_as))
+            assert repr(kernels.dedup_element(given_as)) == repr(by_rank(set(given_as)))
+
+    @given(st.booleans(), st.booleans(), tie_prone(min_size=1), tie_prone(min_size=1))
+    def test_zip_combine_is_pad_then_zip(self, union, optimistic, e1, e2):
+        for a, b in ((e1, e2), (e1, e1), (e2, e1)):
+            assert repr(kernels.zip_combine(union, a, b, optimistic)) == repr(
+                pad_then_zip(union, a, b, optimistic)
+            )
