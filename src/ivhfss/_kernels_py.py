@@ -1,18 +1,12 @@
-"""Pure-Python scalar and element kernels.
+"""Scalar and element kernels, in pure Python.
 
-This is the reference backend.  A Cython build of the same functions lives in
-``_ckernels.pyx``; :mod:`ivhfss.backend` picks whichever is importable.  Both
-implementations must stay bit-for-bit identical: every formula is written the
-same way so IEEE arithmetic agrees.
-
-Intervals are plain ``(lower, upper)`` float tuples, elements are tuples of
-intervals.  Higher layers wrap these in richer types; the law-check inner
-loops call straight into this module.
+This is the package's one kernel implementation: the public API and the law
+checker both call it.  Intervals are plain ``(lower, upper)`` float tuples,
+elements are tuples of intervals.  Higher layers wrap these in richer types;
+the law-check inner loops call straight into this module.
 """
 
 from __future__ import annotations
-
-BACKEND = "python"
 
 # Midpoints are quantized to 12 decimals before ordering so that decimal data
 # ties exactly (0.4+0.8 and 0.5+0.7 differ by 2e-16 in IEEE arithmetic but
@@ -26,14 +20,17 @@ def rank_key(lo, up):
 
 
 def possibility_ge(al, au, bl, bu):
-    """Degree of possibility that [al,au] >= [bl,bu], in [0,1]."""
-    span = (au - al) + (bu - bl)
-    if span == 0.0:
-        if al > bl:
-            return 1.0
-        if al < bl:
-            return 0.0
+    """Degree of possibility that [al,au] >= [bl,bu], in [0,1].
+
+    Exactly 0.5 when the quantized midpoints tie as ``rank_key`` compares
+    them: the raw formula lands a rounding error off 0.5 on such a tie (0.4+0.8
+    against 0.5+0.7), on either side of it.
+    """
+    if round(al + au, _MID_DECIMALS) == round(bl + bu, _MID_DECIMALS):
         return 0.5
+    span = (au - al) + (bu - bl)
+    if span == 0.0:  # two points with different values
+        return 1.0 if al > bl else 0.0
     inner = (bu - al) / span
     if inner < 0.0:
         inner = 0.0

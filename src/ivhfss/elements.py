@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .backend import kernels
+from . import _kernels_py as kernels
 from .errors import EmptyElement
 from .intervals import (
     OPERATOR_KINDS,

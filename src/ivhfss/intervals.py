@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 import math
 
-from .backend import kernels
+from . import _kernels_py as kernels
 from .errors import Inverted, NegativeScalar, OutOfRange
 
 OPERATOR_KINDS = ("O1", "O2", "O3", "O4")

@@ -69,7 +69,9 @@ def parse_document(text: str | bytes) -> IVHFSoftSet:
             raise ParseError(f"input is not UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise ParseError("malformed JSON: nested too deeply") from exc
+    except ValueError as exc:  # also an integer beyond int()'s digit limit
         raise ParseError(f"malformed JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "top level must be an object")
     for key in ("universe", "parameters", "values"):

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional
 
 from .. import elements as E
 from .. import softsets as S
-from ..backend import kernels
+from .. import _kernels_py as kernels
 from ..errors import BudgetExceeded
 from ..intervals import UnitInterval
 from . import evaluate as ev
@@ -40,6 +40,10 @@ class CheckConfig:
     def __post_init__(self):
         if not (0.0 < self.grid_step <= 1.0):
             raise ValueError(f"grid_step must be in (0,1], got {self.grid_step}")
+        # the last point of generators.grid_intervals; short of 1.0, 1.0 is never checked
+        last = round(round(1.0 / self.grid_step) * self.grid_step, 12)
+        if last != 1.0:
+            raise ValueError(f"grid_step {self.grid_step} does not divide [0,1]: its grid ends at {last}")
         for name in ("max_element_size", "max_parameters", "max_objects", "random_trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -315,10 +319,13 @@ def _soft_json(soft: RawSoft) -> dict:
 def _counterexample_json(law: Law, ops) -> dict:
     lhs, rhs = law.build_raw(ops)
     if law.level == "element":
+        # report the sides as they were compared: deduplicated for an
+        # ``equivalent`` law (a synchronized side is a per-pair list)
+        canonical = kernels.dedup_element if law.equality == "equivalent" else kernels.sort_element
         return {
             "operands": [_element_json(o) for o in ops],
-            "lhs": _element_json(kernels.sort_element(lhs)),
-            "rhs": _element_json(kernels.sort_element(rhs)),
+            "lhs": _element_json(canonical(lhs)),
+            "rhs": _element_json(canonical(rhs)),
         }
     return {
         "operands": [_soft_json(o) for o in ops],

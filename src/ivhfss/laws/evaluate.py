@@ -2,10 +2,11 @@
 
 Law checking runs millions of small operations, so this layer works on plain
 tuples (elements are tuples of (lower, upper) pairs, soft sets are a small
-dataclass of dicts) and calls the same backend kernels the public API wraps.
-The public object API is used only to replay reported counterexamples.
+dataclass of dicts) and calls the same kernels the public API wraps.  The
+public object API is used only to confirm and replay counterexamples.
 
-Three evaluation regimes appear here:
+A law's body is written once against an algebra; the algebras here evaluate
+it in one of four regimes:
 
 * ``aligned`` / ``pairwise`` mirror the public combine modes exactly.
 * ``sequence`` evaluates a whole expression with one alignment pass and no
@@ -20,10 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..backend import kernels
+from .. import _kernels_py as kernels
 
 Element = tuple  # tuple of (lower, upper) pairs
-_ek = kernels
 
 
 @dataclass
@@ -38,22 +38,22 @@ class RawSoft:
         return self.cells[(e, h)]
 
 
-# --- element comparisons (tolerance-aware) ---
+# --- element and soft-set comparisons (tolerance-aware) ---
 
 
 def elements_strict_equal(a: Element, b: Element, tol: float) -> bool:
     if len(a) != len(b):
         return False
-    sa = _ek.sort_element(a)
-    sb = _ek.sort_element(b)
+    sa = kernels.sort_element(a)
+    sb = kernels.sort_element(b)
     return all(
         abs(x[0] - y[0]) <= tol and abs(x[1] - y[1]) <= tol for x, y in zip(sa, sb)
     )
 
 
 def elements_equivalent(a: Element, b: Element, tol: float) -> bool:
-    da = _ek.dedup_element(a)
-    db = _ek.dedup_element(b)
+    da = kernels.dedup_element(a)
+    db = kernels.dedup_element(b)
     if len(da) != len(db):
         return False
     return all(
@@ -64,58 +64,10 @@ def elements_equivalent(a: Element, b: Element, tol: float) -> bool:
 def element_leq(a: Element, b: Element, tol: float) -> bool:
     """k-th-wise componentwise <= after optimistic alignment."""
     n = max(len(a), len(b))
-    ea = _ek.extend_element(_ek.sort_element(a), n, True)
-    eb = _ek.extend_element(_ek.sort_element(b), n, True)
+    ea = kernels.extend_element(kernels.sort_element(a), n, True)
+    eb = kernels.extend_element(kernels.sort_element(b), n, True)
     return all(
         x[0] <= y[0] + tol and x[1] <= y[1] + tol for x, y in zip(ea, eb)
-    )
-
-
-# --- raw soft operations (numerically identical to the public ones) ---
-
-
-def soft_union(f: RawSoft, g: RawSoft, mode: str) -> RawSoft:
-    fset, gset = set(f.params), set(g.params)
-    params = f.params + tuple(e for e in g.params if e not in fset)
-    cells = {}
-    for e in params:
-        for h in f.universe:
-            if e in fset and e in gset:
-                cells[(e, h)] = _combine(True, f.cell(e, h), g.cell(e, h), mode)
-            elif e in fset:
-                cells[(e, h)] = f.cell(e, h)
-            else:
-                cells[(e, h)] = g.cell(e, h)
-    return RawSoft(params, f.universe, cells)
-
-
-def soft_intersection(f: RawSoft, g: RawSoft, mode: str) -> RawSoft:
-    gset = set(g.params)
-    params = tuple(e for e in f.params if e in gset)
-    if not params:
-        raise ValueError("empty parameter intersection")
-    cells = {
-        (e, h): _combine(False, f.cell(e, h), g.cell(e, h), mode)
-        for e in params
-        for h in f.universe
-    }
-    return RawSoft(params, f.universe, cells)
-
-
-def _combine(union: bool, a: Element, b: Element, mode: str) -> Element:
-    if mode == "aligned":
-        return _ek.combine_aligned(union, a, b, True)
-    if mode == "pairwise":
-        return _ek.combine_pairwise(union, a, b)
-    # sequence: positional, padded, not re-sorted
-    return _ek.zip_combine(union, a, b, True)
-
-
-def soft_complement(f: RawSoft) -> RawSoft:
-    return RawSoft(
-        f.params,
-        f.universe,
-        {k: _ek.complement_element(v) for k, v in f.cells.items()},
     )
 
 
@@ -149,43 +101,118 @@ def soft_subset(f: RawSoft, g: RawSoft, tol: float) -> bool:
     )
 
 
-def constant_like(f: RawSoft, value: tuple[float, float]) -> RawSoft:
+# --- algebras: the operations a law's body is written against, per regime ---
+
+
+class SoftSets:
+    """Soft-set operations on ``RawSoft`` in the ``aligned``, ``pairwise`` or
+    ``sequence`` regime, numerically identical to the public ones."""
+
+    def __init__(self, mode: str):
+        self.mode = mode
+
+    def _combine(self, union: bool, a: Element, b: Element) -> Element:
+        if self.mode == "aligned":
+            return kernels.combine_aligned(union, a, b, True)
+        if self.mode == "pairwise":
+            return kernels.combine_pairwise(union, a, b)
+        # sequence: positional, padded, not re-sorted
+        return kernels.zip_combine(union, a, b, True)
+
+    def union(self, f: RawSoft, g: RawSoft) -> RawSoft:
+        fset, gset = set(f.params), set(g.params)
+        params = f.params + tuple(e for e in g.params if e not in fset)
+        cells = {}
+        for e in params:
+            for h in f.universe:
+                if e in fset and e in gset:
+                    cells[(e, h)] = self._combine(True, f.cell(e, h), g.cell(e, h))
+                elif e in fset:
+                    cells[(e, h)] = f.cell(e, h)
+                else:
+                    cells[(e, h)] = g.cell(e, h)
+        return RawSoft(params, f.universe, cells)
+
+    def intersection(self, f: RawSoft, g: RawSoft) -> RawSoft:
+        gset = set(g.params)
+        params = tuple(e for e in f.params if e in gset)
+        if not params:
+            raise ValueError("empty parameter intersection")
+        cells = {
+            (e, h): self._combine(False, f.cell(e, h), g.cell(e, h))
+            for e in params
+            for h in f.universe
+        }
+        return RawSoft(params, f.universe, cells)
+
+    def complement(self, f: RawSoft) -> RawSoft:
+        return RawSoft(
+            f.params,
+            f.universe,
+            {k: kernels.complement_element(v) for k, v in f.cells.items()},
+        )
+
+    def empty(self, f: RawSoft) -> RawSoft:
+        return _constant_like(f, (0.0, 0.0))
+
+    def full(self, f: RawSoft) -> RawSoft:
+        return _constant_like(f, (1.0, 1.0))
+
+    def family_union(self, members) -> RawSoft:
+        acc = members[0]
+        for m in members[1:]:
+            acc = self.union(acc, m)
+        return acc
+
+    def family_intersection(self, members) -> RawSoft:
+        acc = members[0]
+        for m in members[1:]:
+            acc = self.intersection(acc, m)
+        return acc
+
+
+def _constant_like(f: RawSoft, value: tuple[float, float]) -> RawSoft:
     cells = {(e, h): (value,) for e in f.params for h in f.universe}
     return RawSoft(f.params, f.universe, cells)
 
 
-# --- synchronized element expressions for the O-operator identities ---
+class PairwiseElements:
+    """All-pairs element operations; every result is deduplicated and sorted."""
+
+    def union(self, a: Element, b: Element) -> Element:
+        return kernels.combine_pairwise(True, a, b)
+
+    def intersection(self, a: Element, b: Element) -> Element:
+        return kernels.combine_pairwise(False, a, b)
+
+    def complement(self, a: Element) -> Element:
+        return kernels.complement_element(a)
+
+    def operator(self, kind: str, a: Element, b: Element) -> Element:
+        return kernels.operator_element(kind, a, b)
 
 
-def sync_pairs(kind: str, which: str, e1: Element, e2: Element):
-    """Per-pair (ring value, O value) tuples over gamma1 x gamma2."""
-    ring = _ek.ring_sum_kernel if which == "sum" else _ek.ring_product_kernel
-    out = []
-    for x in e1:
-        for y in e2:
-            s = ring(x[0], x[1], y[0], y[1])
-            o = _ek.operator_kernel(kind, x[0], x[1], y[0], y[1])
-            out.append((s, o))
-    return out
+class SynchronizedElements:
+    """Ring and O results stay per-pair lists over gamma1 x gamma2, in one
+    fixed pair order; join and meet combine two such lists pair by pair and
+    then deduplicate.  A per-pair list is deduplicated only when it is
+    compared or reported."""
 
+    def union(self, a: Element, b: Element) -> Element:
+        return kernels.dedup_element(
+            [kernels.join_kernel(s[0], s[1], o[0], o[1]) for s, o in zip(a, b)]
+        )
 
-def sync_meet_side(kind: str, which: str, e1: Element, e2: Element) -> Element:
-    return _ek.dedup_element(
-        [_ek.meet_kernel(s[0], s[1], o[0], o[1]) for s, o in sync_pairs(kind, which, e1, e2)]
-    )
+    def intersection(self, a: Element, b: Element) -> Element:
+        return kernels.dedup_element(
+            [kernels.meet_kernel(s[0], s[1], o[0], o[1]) for s, o in zip(a, b)]
+        )
 
+    def ring_sum(self, a: Element, b: Element) -> Element:
+        return tuple([kernels.ring_sum_kernel(x[0], x[1], y[0], y[1]) for x in a for y in b])
 
-def sync_join_side(kind: str, which: str, e1: Element, e2: Element) -> Element:
-    return _ek.dedup_element(
-        [_ek.join_kernel(s[0], s[1], o[0], o[1]) for s, o in sync_pairs(kind, which, e1, e2)]
-    )
+    def ring_product(self, a: Element, b: Element) -> Element:
+        return tuple([kernels.ring_product_kernel(x[0], x[1], y[0], y[1]) for x in a for y in b])
 
-
-def ring_result(which: str, e1: Element, e2: Element) -> Element:
-    if which == "sum":
-        return _ek.ring_sum_element(e1, e2)
-    return _ek.ring_product_element(e1, e2)
-
-
-def operator_result(kind: str, e1: Element, e2: Element) -> Element:
-    return _ek.operator_element(kind, e1, e2)
+    def operator(self, kind: str, a: Element, b: Element) -> Element:
+        return tuple([kernels.operator_kernel(kind, x[0], x[1], y[0], y[1]) for x in a for y in b])

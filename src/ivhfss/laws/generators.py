@@ -16,7 +16,7 @@ import hashlib
 import random
 from itertools import combinations_with_replacement
 
-from ..backend import kernels
+from .. import _kernels_py as kernels
 from .evaluate import RawSoft
 
 

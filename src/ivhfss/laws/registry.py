@@ -16,9 +16,14 @@ evaluation regime under which its claim is checked:
   set; used for the ring-vs-operator absorption claims, whose content is a
   pair-by-pair comparison of the two unions.
 
-``build_raw`` evaluates on the fast raw layer; ``build_public`` evaluates
-the literal composition through the public API and is what reported
-counterexamples are validated against.
+Each law's composition is written once, as a body ``body(A, *operands)``
+over an algebra ``A`` (``union``, ``intersection``, ``complement``, the
+``empty``/``full`` constants, the family folds, ``ring_sum``/``ring_product``
+and ``operator``).  ``_law`` binds the body twice: ``build_raw`` evaluates it
+on the raw layer (:mod:`.evaluate`) in the pinned regime; ``build_public``
+evaluates it through the public API in its literal mode (``ALIGNED`` for the
+``aligned`` and ``sequence`` regimes, ``PAIRWISE`` for the others), and is
+what reported counterexamples are validated against.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ ALIGNED = CombineMode.ALIGNED
 PAIRWISE = CombineMode.PAIRWISE
 
 
+def _anything(ops) -> bool:
+    return True
+
+
 @dataclass(frozen=True)
 class Law:
     law_id: str
@@ -47,7 +56,7 @@ class Law:
     arity: int
     build_raw: Callable
     build_public: Callable
-    constraint: Callable = lambda ops: True
+    constraint: Callable = _anything
 
     @property
     def expected_status(self) -> str:
@@ -61,13 +70,98 @@ EXPECTED_VIOLATED = frozenset(
 )
 
 
-def _shared_params(ops: Sequence[RawSoft]) -> bool:
-    first = set(ops[0].params)
-    return all(set(o.params) == first for o in ops[1:])
+# ---------------------------------------------------------------------------
+# the public API as an algebra, in one literal combine mode
+# ---------------------------------------------------------------------------
+
+
+class _PublicElements:
+    def __init__(self, mode: CombineMode):
+        self.mode = mode
+
+    def union(self, a, b):
+        return E.combine("union", a, b, self.mode)
+
+    def intersection(self, a, b):
+        return E.combine("intersection", a, b, self.mode)
+
+    def complement(self, a):
+        return E.complement(a)
+
+    def ring_sum(self, a, b):
+        return E.ring_sum(a, b)
+
+    def ring_product(self, a, b):
+        return E.ring_product(a, b)
+
+    def operator(self, kind, a, b):
+        return E.apply_operator(kind, a, b)
+
+
+class _PublicSoftSets:
+    def __init__(self, mode: CombineMode):
+        self.mode = mode
+
+    def union(self, f, g):
+        return S.soft_union(f, g, mode=self.mode)
+
+    def intersection(self, f, g):
+        return S.soft_intersection(f, g, mode=self.mode)
+
+    def complement(self, f):
+        return S.soft_complement(f)
+
+    def empty(self, f):
+        return S.empty_of(f.parameters, f.universe)
+
+    def full(self, f):
+        return S.full_of(f.parameters, f.universe)
+
+    def family_union(self, members):
+        return S.family_union(members, mode=self.mode)
+
+    def family_intersection(self, members):
+        return S.family_intersection(members, mode=self.mode)
+
+
+def _algebras(level: str, mode: str):
+    """(raw algebra in the regime ``mode``, public algebra in its literal mode)."""
+    literal = ALIGNED if mode in ("aligned", "sequence") else PAIRWISE
+    if level == "soft":
+        return ev.SoftSets(mode), _PublicSoftSets(literal)
+    raw = ev.SynchronizedElements() if mode == "synchronized" else ev.PairwiseElements()
+    return raw, _PublicElements(literal)
+
+
+def _law(
+    law_id: str,
+    description: str,
+    level: str,
+    parameter_mode: str,
+    equality: str,
+    mode: str,
+    arity: int,
+    body: Callable,
+    constraint: Callable = _anything,
+) -> Law:
+    """The one factory: bind ``body`` to the raw and the public algebra."""
+    raw, public = _algebras(level, mode)
+    return Law(
+        law_id,
+        description,
+        level,
+        parameter_mode,
+        equality,
+        mode,
+        arity,
+        lambda ops: body(raw, *ops),
+        lambda ops: body(public, *ops),
+        constraint,
+    )
 
 
 def _inter_nonempty(*groups):
-    def check(ops):
+    def check(ops: Sequence[RawSoft]):
         for idxs in groups:
             acc = set(ops[idxs[0]].params)
             for i in idxs[1:]:
@@ -87,33 +181,16 @@ def _inter_nonempty(*groups):
 def _e212(i: str) -> Law:
     union_first = i == "ii"
 
-    def raw(ops):
-        m1, m2 = ops
-        k = ev.kernels
-        if union_first:
-            lhs = k.combine_pairwise(False, k.complement_element(m1), k.complement_element(m2))
-            rhs = k.complement_element(k.combine_pairwise(True, m1, m2))
-        else:
-            lhs = k.combine_pairwise(True, k.complement_element(m1), k.complement_element(m2))
-            rhs = k.complement_element(k.combine_pairwise(False, m1, m2))
-        return lhs, rhs
-
-    def public(ops):
-        m1, m2 = ops
-        if union_first:
-            lhs = E.combine("intersection", E.complement(m1), E.complement(m2), PAIRWISE)
-            rhs = E.complement(E.combine("union", m1, m2, PAIRWISE))
-        else:
-            lhs = E.combine("union", E.complement(m1), E.complement(m2), PAIRWISE)
-            rhs = E.complement(E.combine("intersection", m1, m2, PAIRWISE))
-        return lhs, rhs
+    def body(A, m1, m2):
+        outer, inner = (A.intersection, A.union) if union_first else (A.union, A.intersection)
+        return outer(A.complement(m1), A.complement(m2)), A.complement(inner(m1, m2))
 
     desc = (
         "complement swaps all-pairs union and intersection"
         if union_first
         else "complement swaps all-pairs intersection and union"
     )
-    return Law(f"P2.12.{i}", desc, "element", "shared", "equivalent", "pairwise", 2, raw, public)
+    return _law(f"P2.12.{i}", desc, "element", "shared", "equivalent", "pairwise", 2, body)
 
 
 # ---------------------------------------------------------------------------
@@ -132,33 +209,18 @@ _P35_SPECS = {
 
 def _e35(i: str) -> Law:
     kind, partner, keep, equality, desc = _P35_SPECS[i]
-    union = kind == "union"
 
-    def raw(ops):
-        (f,) = ops
+    def body(A, f):
         if partner == "self":
             g = f
         elif partner == "empty":
-            g = ev.constant_like(f, (0.0, 0.0))
+            g = A.empty(f)
         else:
-            g = ev.constant_like(f, (1.0, 1.0))
-        lhs = ev.soft_union(f, g, "aligned") if union else ev.soft_intersection(f, g, "aligned")
-        rhs = f if keep == "left" else g
-        return lhs, rhs
+            g = A.full(f)
+        lhs = A.union(f, g) if kind == "union" else A.intersection(f, g)
+        return lhs, (f if keep == "left" else g)
 
-    def public(ops):
-        (f,) = ops
-        if partner == "self":
-            g = f
-        elif partner == "empty":
-            g = S.empty_of(f.parameters, f.universe)
-        else:
-            g = S.full_of(f.parameters, f.universe)
-        lhs = S.soft_union(f, g) if union else S.soft_intersection(f, g)
-        rhs = f if keep == "left" else g
-        return lhs, rhs
-
-    return Law(f"P3.5.{i}", desc, "soft", "shared", equality, "aligned", 1, raw, public)
+    return _law(f"P3.5.{i}", desc, "soft", "shared", equality, "aligned", 1, body)
 
 
 # ---------------------------------------------------------------------------
@@ -169,30 +231,14 @@ def _e35(i: str) -> Law:
 def _e36(i: str) -> Law:
     union_inside = i == "i"
 
-    def raw(ops):
-        f, g = ops
-        if union_inside:
-            lhs = ev.soft_complement(ev.soft_union(f, g, "pairwise"))
-            rhs = ev.soft_intersection(ev.soft_complement(f), ev.soft_complement(g), "pairwise")
-        else:
-            lhs = ev.soft_complement(ev.soft_intersection(f, g, "pairwise"))
-            rhs = ev.soft_union(ev.soft_complement(f), ev.soft_complement(g), "pairwise")
-        return lhs, rhs
-
-    def public(ops):
-        f, g = ops
-        if union_inside:
-            lhs = S.soft_complement(S.soft_union(f, g, mode=PAIRWISE))
-            rhs = S.soft_intersection(S.soft_complement(f), S.soft_complement(g), mode=PAIRWISE)
-        else:
-            lhs = S.soft_complement(S.soft_intersection(f, g, mode=PAIRWISE))
-            rhs = S.soft_union(S.soft_complement(f), S.soft_complement(g), mode=PAIRWISE)
-        return lhs, rhs
+    def body(A, f, g):
+        inner, outer = (A.union, A.intersection) if union_inside else (A.intersection, A.union)
+        return A.complement(inner(f, g)), outer(A.complement(f), A.complement(g))
 
     desc = "complement of the %s is the %s of complements (shared parameters)" % (
         ("union", "intersection") if union_inside else ("intersection", "union")
     )
-    return Law(f"P3.6.{i}", desc, "soft", "shared", "strict", "pairwise", 2, raw, public)
+    return _law(f"P3.6.{i}", desc, "soft", "shared", "strict", "pairwise", 2, body)
 
 
 # sides: mc = meet of complements, jc = join of complements,
@@ -206,43 +252,21 @@ _P37_SPECS = {
 
 
 def _e37(i: str) -> Law:
-    shape = _P37_SPECS[i]
+    lhs_side, rhs_side, desc = _P37_SPECS[i]
 
-    def raw(ops):
-        f, g = ops
-        fc, gc = ev.soft_complement(f), ev.soft_complement(g)
+    def body(A, f, g):
+        fc, gc = A.complement(f), A.complement(g)
         sides = {
-            "mc": lambda: ev.soft_intersection(fc, gc, "pairwise"),
-            "jc": lambda: ev.soft_union(fc, gc, "pairwise"),
-            "cu": lambda: ev.soft_complement(ev.soft_union(f, g, "pairwise")),
-            "ci": lambda: ev.soft_complement(ev.soft_intersection(f, g, "pairwise")),
+            "mc": lambda: A.intersection(fc, gc),
+            "jc": lambda: A.union(fc, gc),
+            "cu": lambda: A.complement(A.union(f, g)),
+            "ci": lambda: A.complement(A.intersection(f, g)),
         }
-        return sides[shape[0]](), sides[shape[1]]()
-
-    def public(ops):
-        f, g = ops
-        fc, gc = S.soft_complement(f), S.soft_complement(g)
-        sides = {
-            "mc": lambda: S.soft_intersection(fc, gc, mode=PAIRWISE),
-            "jc": lambda: S.soft_union(fc, gc, mode=PAIRWISE),
-            "cu": lambda: S.soft_complement(S.soft_union(f, g, mode=PAIRWISE)),
-            "ci": lambda: S.soft_complement(S.soft_intersection(f, g, mode=PAIRWISE)),
-        }
-        return sides[shape[0]](), sides[shape[1]]()
+        return sides[lhs_side](), sides[rhs_side]()
 
     needs_overlap = i in ("i", "ii", "iii")
-    return Law(
-        f"P3.7.{i}",
-        shape[2],
-        "soft",
-        "mixed",
-        "subset",
-        "pairwise",
-        2,
-        raw,
-        public,
-        _inter_nonempty((0, 1)) if needs_overlap else (lambda ops: True),
-    )
+    constraint = _inter_nonempty((0, 1)) if needs_overlap else _anything
+    return _law(f"P3.7.{i}", desc, "soft", "mixed", "subset", "pairwise", 2, body, constraint)
 
 
 # ---------------------------------------------------------------------------
@@ -254,57 +278,30 @@ def _comm_assoc(prop: str, i: str, parameter_mode: str) -> Law:
     union = i in ("i", "iii")
     is_comm = i in ("i", "ii")
     opname = "union" if union else "intersection"
+    restrict = not union and parameter_mode == "mixed"
 
     if is_comm:
 
-        def raw(ops):
-            f, g = ops
-            op = ev.soft_union if union else ev.soft_intersection
-            return op(f, g, "aligned"), op(g, f, "aligned")
-
-        def public(ops):
-            f, g = ops
-            op = S.soft_union if union else S.soft_intersection
+        def body(A, f, g):
+            op = A.union if union else A.intersection
             return op(f, g), op(g, f)
 
-        constraint = _inter_nonempty((0, 1)) if not union and parameter_mode == "mixed" else (lambda ops: True)
-        return Law(
+        return _law(
             f"{prop}.{i}",
             f"{opname} is commutative ({parameter_mode} parameters)",
-            "soft",
-            parameter_mode,
-            "strict",
-            "aligned",
-            2,
-            raw,
-            public,
-            constraint,
+            "soft", parameter_mode, "strict", "aligned", 2, body,
+            _inter_nonempty((0, 1)) if restrict else _anything,
         )
 
-    def raw(ops):
-        f, g, h = ops
-        op = ev.soft_union if union else ev.soft_intersection
-        lhs = op(f, op(g, h, "sequence"), "sequence")
-        rhs = op(op(f, g, "sequence"), h, "sequence")
-        return lhs, rhs
-
-    def public(ops):
-        f, g, h = ops
-        op = S.soft_union if union else S.soft_intersection
+    def body(A, f, g, h):
+        op = A.union if union else A.intersection
         return op(f, op(g, h)), op(op(f, g), h)
 
-    constraint = _inter_nonempty((0, 1, 2)) if not union and parameter_mode == "mixed" else (lambda ops: True)
-    return Law(
+    return _law(
         f"{prop}.{i}",
         f"{opname} is associative ({parameter_mode} parameters)",
-        "soft",
-        parameter_mode,
-        "strict",
-        "sequence",
-        3,
-        raw,
-        public,
-        constraint,
+        "soft", parameter_mode, "strict", "sequence", 3, body,
+        _inter_nonempty((0, 1, 2)) if restrict else _anything,
     )
 
 
@@ -316,42 +313,19 @@ def _comm_assoc(prop: str, i: str, parameter_mode: str) -> Law:
 def _distrib(prop: str, i: str, parameter_mode: str, mode: str, equality: str) -> Law:
     union_outer = i == "i"
 
-    def raw(ops):
-        f, g, h = ops
-        u = lambda a, b: ev.soft_union(a, b, mode)
-        n = lambda a, b: ev.soft_intersection(a, b, mode)
-        if union_outer:
-            return u(f, n(g, h)), n(u(f, g), u(f, h))
-        return n(f, u(g, h)), u(n(f, g), n(f, h))
-
-    def public(ops):
-        f, g, h = ops
-        if union_outer:
-            return (
-                S.soft_union(f, S.soft_intersection(g, h)),
-                S.soft_intersection(S.soft_union(f, g), S.soft_union(f, h)),
-            )
-        return (
-            S.soft_intersection(f, S.soft_union(g, h)),
-            S.soft_union(S.soft_intersection(f, g), S.soft_intersection(f, h)),
-        )
+    def body(A, f, g, h):
+        outer, inner = (A.union, A.intersection) if union_outer else (A.intersection, A.union)
+        return outer(f, inner(g, h)), inner(outer(f, g), outer(f, h))
 
     if parameter_mode == "mixed":
         constraint = _inter_nonempty((1, 2)) if union_outer else _inter_nonempty((0, 1), (0, 2))
     else:
-        constraint = lambda ops: True
+        constraint = _anything
     kind = "union over intersection" if union_outer else "intersection over union"
-    return Law(
+    return _law(
         f"{prop}.{i}",
         f"{kind} distributivity ({parameter_mode} parameters)",
-        "soft",
-        parameter_mode,
-        equality,
-        mode,
-        3,
-        raw,
-        public,
-        constraint,
+        "soft", parameter_mode, equality, mode, 3, body, constraint,
     )
 
 
@@ -360,58 +334,32 @@ def _distrib(prop: str, i: str, parameter_mode: str, mode: str, equality: str) -
 # ---------------------------------------------------------------------------
 
 
-def _family_fold_raw(union: bool, members):
-    acc = members[0]
-    for m in members[1:]:
-        acc = ev.soft_union(acc, m, "pairwise") if union else ev.soft_intersection(acc, m, "pairwise")
-    return acc
+def _common_parameter(ops) -> bool:
+    acc = set(ops[0].params)
+    for o in ops[1:]:
+        acc &= set(o.params)
+    return bool(acc)
 
 
 def _family(prop: str, i: str, parameter_mode: str, equality: str) -> Law:
     inter_of_comps_first = i == "i"
 
-    def raw(ops):
-        comps = [ev.soft_complement(f) for f in ops]
+    def body(A, *members):
+        members = list(members)
+        comps = [A.complement(f) for f in members]
         if inter_of_comps_first:
-            lhs = _family_fold_raw(False, comps)
-            rhs = ev.soft_complement(_family_fold_raw(True, list(ops)))
-        else:
-            lhs = ev.soft_complement(_family_fold_raw(False, list(ops)))
-            rhs = _family_fold_raw(True, comps)
-        return lhs, rhs
-
-    def public(ops):
-        comps = [S.soft_complement(f) for f in ops]
-        if inter_of_comps_first:
-            lhs = S.family_intersection(comps, mode=PAIRWISE)
-            rhs = S.soft_complement(S.family_union(list(ops), mode=PAIRWISE))
-        else:
-            lhs = S.soft_complement(S.family_intersection(list(ops), mode=PAIRWISE))
-            rhs = S.family_union(comps, mode=PAIRWISE)
-        return lhs, rhs
+            return A.family_intersection(comps), A.complement(A.family_union(members))
+        return A.complement(A.family_intersection(members)), A.family_union(comps)
 
     desc = (
         "family meet of complements vs complement of family union"
         if inter_of_comps_first
         else "complement of family meet vs family union of complements"
     )
-    def flexible_constraint(ops):
-        acc = set(ops[0].params)
-        for o in ops[1:]:
-            acc &= set(o.params)
-        return bool(acc)
-
-    return Law(
+    return _law(
         f"{prop}.{i}",
         desc + f" ({parameter_mode} parameters)",
-        "soft",
-        parameter_mode,
-        equality,
-        "pairwise",
-        3,
-        raw,
-        public,
-        flexible_constraint,
+        "soft", parameter_mode, equality, "pairwise", 3, body, _common_parameter,
     )
 
 
@@ -424,76 +372,35 @@ def _op_absorption(prop: str, i: str, kind: str) -> Law:
     which = "sum" if i in ("i", "ii") else "prod"
     meet_side = i in ("i", "iii")
 
-    def raw(ops):
-        m1, m2 = ops
+    def body(A, m1, m2):
+        ring = A.ring_sum(m1, m2) if which == "sum" else A.ring_product(m1, m2)
+        oper = A.operator(kind, m1, m2)
         if meet_side:
-            lhs = ev.sync_meet_side(kind, which, m1, m2)
-            rhs = ev.operator_result(kind, m1, m2)
-        else:
-            lhs = ev.sync_join_side(kind, which, m1, m2)
-            rhs = ev.ring_result(which, m1, m2)
-        return lhs, rhs
-
-    def public(ops):
-        m1, m2 = ops
-        ring = E.ring_sum(m1, m2) if which == "sum" else E.ring_product(m1, m2)
-        oper = E.apply_operator(kind, m1, m2)
-        if meet_side:
-            return E.combine("intersection", ring, oper, PAIRWISE), oper
-        return E.combine("union", ring, oper, PAIRWISE), ring
+            return A.intersection(ring, oper), oper
+        return A.union(ring, oper), ring
 
     ring_name = "ring sum" if which == "sum" else "ring product"
     side = "meet" if meet_side else "join"
     keep = kind if meet_side else ring_name
-    return Law(
+    return _law(
         f"{prop}.{i}",
         f"{side} of {ring_name} with {kind} gives {keep} back",
-        "element",
-        "shared",
-        "equivalent",
-        "synchronized",
-        2,
-        raw,
-        public,
+        "element", "shared", "equivalent", "synchronized", 2, body,
     )
 
 
 def _op_distribution(prop: str, i: str, kind: str) -> Law:
     union = i == "v"
 
-    def raw(ops):
-        m1, m2, m3 = ops
-        k = ev.kernels
-        combined = k.combine_pairwise(union, m1, m2)
-        lhs = ev.operator_result(kind, combined, m3)
-        rhs = k.combine_pairwise(
-            union, ev.operator_result(kind, m1, m3), ev.operator_result(kind, m2, m3)
-        )
-        return lhs, rhs
-
-    def public(ops):
-        m1, m2, m3 = ops
-        opname = "union" if union else "intersection"
-        lhs = E.apply_operator(kind, E.combine(opname, m1, m2, PAIRWISE), m3)
-        rhs = E.combine(
-            opname,
-            E.apply_operator(kind, m1, m3),
-            E.apply_operator(kind, m2, m3),
-            PAIRWISE,
-        )
-        return lhs, rhs
+    def body(A, m1, m2, m3):
+        op = A.union if union else A.intersection
+        return A.operator(kind, op(m1, m2), m3), op(A.operator(kind, m1, m3), A.operator(kind, m2, m3))
 
     opname = "union" if union else "intersection"
-    return Law(
+    return _law(
         f"{prop}.{i}",
         f"{kind} distributes over all-pairs {opname}",
-        "element",
-        "shared",
-        "equivalent",
-        "pairwise",
-        3,
-        raw,
-        public,
+        "element", "shared", "equivalent", "pairwise", 3, body,
     )
 
 

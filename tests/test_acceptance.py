@@ -4,6 +4,7 @@ Run with ``pytest -v tests/test_acceptance.py`` (one pass/fail line per
 criterion) or ``pytest -s`` to see the explicit ACCEPTANCE lines.
 """
 
+import hashlib
 import json
 import time
 from itertools import product
@@ -34,7 +35,7 @@ from ivhfss import (
     Verdict,
 )
 from ivhfss.cli import main
-from ivhfss.laws import CheckConfig, registry, replay, run_suite
+from ivhfss.laws import CheckConfig, registry, replay, run_suite, suite_to_json
 
 DATA = Path(__file__).parent / "data"
 
@@ -161,6 +162,15 @@ class TestAcceptance:
         assert elapsed < 60.0
         with capsys.disabled():
             _report(6, f"all 54 statuses as classified, suite ran in {elapsed:.1f} s")
+
+    def test_law_report_bytes_pinned(self, suite_reports):
+        # statuses, trial counts and shrunk counterexamples, byte for byte
+        reports, _ = suite_reports
+        payload = json.dumps(suite_to_json(reports), sort_keys=True).encode()
+        assert len(payload) == 13023
+        assert hashlib.sha256(payload).hexdigest() == (
+            "4f574ada7146cacac2ac70cc7eb91ec2ebcda688895dd5093a0a03e9a32a1e9a"
+        )
 
     def test_criterion_7_property_suites(self, capsys):
         quarter = grid_intervals(0.25)

@@ -196,6 +196,22 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith("error: cell e1/h1")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100000,
+            '{"universe": ["h1"], "parameters": ["e1"],'
+            ' "values": {"e1": {"h1": [[0, 1' + "0" * 5000 + "]]}}}",
+        ],
+        ids=["nested-too-deeply", "integer-beyond-digit-limit"],
+    )
+    def test_unparseable_json_exits_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, _, err = run(capsys, "complement", str(bad))
+        assert code == 2
+        assert err.startswith("error: malformed JSON")
+
 
 class TestCheckLaws:
     def test_small_run_writes_report(self, tmp_path, capsys):
@@ -213,7 +229,9 @@ class TestCheckLaws:
             assert d["status"] in ("holds", "violated")
             assert {"law_id", "status", "trials_run", "equality_used"} <= set(d)
 
-    @pytest.mark.parametrize("flag", [("--trials", "0"), ("--grid-step", "0")])
+    @pytest.mark.parametrize(
+        "flag", [("--trials", "0"), ("--grid-step", "0"), ("--grid-step", "0.3")]
+    )
     def test_invalid_config_exits_1(self, capsys, flag):
         code, stdout, err = run(capsys, "check-laws", *flag)
         assert code == 1

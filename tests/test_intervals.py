@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ivhfss import (
     UnitInterval,
@@ -49,6 +49,14 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 @st.composite
 def intervals(draw):
     a, b = sorted((draw(unit), draw(unit)))
+    return iv(a, b)
+
+
+@st.composite
+def decimal_intervals(draw):
+    # arbitrary floats, or decimals whose sums tie only up to IEEE noise
+    point = unit | st.integers(0, 10).map(lambda k: k / 10)
+    a, b = sorted((draw(point), draw(point)))
     return iv(a, b)
 
 
@@ -135,6 +143,22 @@ class TestRankCompare:
         out = rank_compare(iv(0.4, 0.8), iv(0.5, 0.7))
         assert out.possibility == pytest.approx(0.5, abs=TOL)
         assert out.verdict is Verdict.LESS
+
+    def test_midpoint_tie_is_exactly_half_in_both_orders(self):
+        # 0.5+0.7 and 0.4+0.8 differ by one ulp but tie once quantized
+        out = rank_compare(iv(0.5, 0.7), iv(0.4, 0.8))
+        assert (out.possibility, out.verdict) == (0.5, Verdict.GREATER)
+        out = rank_compare(iv(0.4, 0.8), iv(0.5, 0.7))
+        assert (out.possibility, out.verdict) == (0.5, Verdict.LESS)
+
+    @given(decimal_intervals(), decimal_intervals())
+    @example(iv(0.5, 0.7), iv(0.4, 0.8))
+    def test_possibility_never_contradicts_verdict(self, a, b):
+        out = rank_compare(a, b)
+        if out.possibility > 0.5:
+            assert out.verdict is Verdict.GREATER
+        if out.possibility < 0.5:
+            assert out.verdict is Verdict.LESS
 
     def test_verdict_tracks_possibility(self):
         for a, b in product(grid(0.25), repeat=2):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ivhfss import parse_document, serialize_document
-from ivhfss.errors import ParseError, SchemaError
+from ivhfss.errors import IvhfssError, ParseError, SchemaError
 from ivhfss.io import CanonicalizationWarning
 
 DATA = Path(__file__).parent / "data"
@@ -64,6 +64,57 @@ class TestParse:
     def test_non_utf8_bytes(self):
         with pytest.raises(ParseError):
             parse_document(b"\xff\xfe{}")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+names = st.sampled_from(["e1", "e2", "h1", "h2", ""])
+unique_names = st.lists(names, min_size=1, max_size=3, unique=True)
+endpoints = st.floats(0, 1) | st.integers(-1, 2) | st.floats() | json_values
+pairs = st.lists(endpoints, min_size=2, max_size=2) | st.lists(endpoints, max_size=3)
+cells = st.lists(pairs | json_values, min_size=1, max_size=3) | json_values
+
+
+@st.composite
+def soft_set_shaped(draw):
+    """Documents with the right keys and anything, mostly almost right, inside."""
+    universe = draw(unique_names | st.lists(names, max_size=3) | json_values)
+    parameters = draw(unique_names | st.lists(names, max_size=3) | json_values)
+    objects = [h for h in universe if isinstance(h, str)] if isinstance(universe, list) else []
+    keys = [e for e in parameters if isinstance(e, str)] if isinstance(parameters, list) else []
+    rows = st.fixed_dictionaries({h: cells for h in objects}) | st.dictionaries(names, cells, max_size=3)
+    values = draw(
+        st.fixed_dictionaries({e: rows for e in keys})
+        | st.dictionaries(names, rows | json_values, max_size=3)
+        | json_values
+    )
+    return {"universe": universe, "parameters": parameters, "values": values}
+
+
+class TestFuzz:
+    """Whatever the input, only the package's own errors leave parse_document."""
+
+    @staticmethod
+    def parse(data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CanonicalizationWarning)
+            try:
+                parse_document(data)
+            except IvhfssError:
+                pass
+
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes(self, data):
+        self.parse(data)
+
+    @given(json_values | soft_set_shaped())
+    def test_json_shaped_documents(self, doc):
+        self.parse(json.dumps(doc))
+        self.parse(json.dumps(doc).encode())
 
 
 class TestRoundTrip:

@@ -133,6 +133,10 @@ class TestDeterminism:
             CheckConfig(grid_step=0.0)
         with pytest.raises(ValueError):
             CheckConfig(random_trials=0)
+        with pytest.raises(ValueError):
+            CheckConfig(grid_step=0.3)  # the grid would stop at 0.9
+        for step in (0.1, 0.2, 1 / 3, 1.0):
+            CheckConfig(grid_step=step)
 
 
 class TestBridging:
@@ -149,7 +153,7 @@ class TestBridging:
             f = random_soft(rng, ("e1", "e2"), ("h1", "h2"), 0.25, 2, rng.random() < 0.5)
             g = random_soft(rng, ("e2", "e3"), ("h1", "h2"), 0.25, 2, rng.random() < 0.5)
             for mode in ("aligned", "pairwise"):
-                raw = ev.soft_union(f, g, mode)
+                raw = ev.SoftSets(mode).union(f, g)
                 pub = soft_union(
                     _to_public_soft(f),
                     _to_public_soft(g),
@@ -159,7 +163,7 @@ class TestBridging:
                 for e in raw.params:
                     for h in raw.universe:
                         assert raw.cell(e, h) == pub.cell(e, h).as_tuples()
-                raw_i = ev.soft_intersection(f, g, mode)
+                raw_i = ev.SoftSets(mode).intersection(f, g)
                 pub_i = soft_intersection(
                     _to_public_soft(f),
                     _to_public_soft(g),
