@@ -12,9 +12,8 @@ import json
 import sys
 import warnings
 
-from .elements import AlignmentPolicy, CombineMode, score
+from .elements import AlignmentPolicy, CombineMode
 from .errors import IvhfssError
-from .intervals import rank_compare, rank_key, UnitInterval, Verdict
 from .io import CanonicalizationWarning, load_file, serialize_document
 from .laws import CheckConfig, run_suite, suite_to_json
 from .softsets import (
@@ -22,6 +21,8 @@ from .softsets import (
     family_intersection,
     family_union,
     is_subset,
+    rank_objects,
+    score_table,
     soft_apply_operator,
     soft_complement,
     soft_intersection,
@@ -130,43 +131,6 @@ def _emit(soft_set: IVHFSoftSet, output: str | None) -> None:
         sys.stdout.write(serialize_document(soft_set))
     else:
         _write(output, serialize_document(soft_set))
-
-
-def score_table(soft_set: IVHFSoftSet) -> dict:
-    return {
-        e: {
-            h: [score(soft_set.cell(e, h)).lower, score(soft_set.cell(e, h)).upper]
-            for h in soft_set.universe
-        }
-        for e in soft_set.parameters
-    }
-
-
-def mean_scores(soft_set: IVHFSoftSet) -> dict[str, UnitInterval]:
-    """Mean of the per-parameter score intervals, per object."""
-    out = {}
-    n = len(soft_set.parameters)
-    for h in soft_set.universe:
-        lo = sum(score(soft_set.cell(e, h)).lower for e in soft_set.parameters) / n
-        up = sum(score(soft_set.cell(e, h)).upper for e in soft_set.parameters) / n
-        out[h] = UnitInterval(lo, up)
-    return out
-
-def rank_objects(soft_set: IVHFSoftSet) -> list[dict]:
-    """Best-first groups of objects; a group holds rank ties."""
-    means = mean_scores(soft_set)
-    ordered = sorted(soft_set.universe, key=lambda h: rank_key(means[h]), reverse=True)
-    groups: list[dict] = []
-    for h in ordered:
-        if groups:
-            prev = groups[-1]["objects"][0]
-            if rank_compare(means[h], means[prev]).verdict is Verdict.EQUAL:
-                groups[-1]["objects"].append(h)
-                continue
-        groups.append({"rank": len(groups) + 1, "objects": [h]})
-    for g in groups:
-        g["mean_score"] = [means[g["objects"][0]].lower, means[g["objects"][0]].upper]
-    return groups
 
 
 def _run(args) -> int:

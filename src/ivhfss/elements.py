@@ -39,18 +39,37 @@ class CombineMode(Enum):
     PAIRWISE = "pairwise"
 
 
-@dataclass(frozen=True, slots=True)
-class IVHFE:
-    """Nonempty multiset of UnitIntervals in canonical ascending order."""
+# Reading an enum member as a class attribute costs a descriptor call; the
+# per-operation dispatch compares against these instead.
+_ALIGNED = CombineMode.ALIGNED
+_OPTIMISTIC = AlignmentPolicy.OPTIMISTIC
 
-    intervals: tuple[UnitInterval, ...]
+
+@dataclass(frozen=True, slots=True, init=False)
+class IVHFE:
+    """Nonempty multiset of unit intervals in canonical ascending order.
+
+    The members are stored as the (lower, upper) float pairs the kernels work
+    on; ``intervals`` builds UnitIntervals from them on each read.
+    """
+
+    pairs: tuple[tuple[float, float], ...]
+
+    def __init__(self, pairs: tuple[tuple[float, float], ...]):
+        # every operation result is wrapped: the slot's own setter is cheaper
+        # than the object.__setattr__ call of a frozen dataclass's __init__
+        _set_pairs(self, pairs)
+
+    @property
+    def intervals(self) -> tuple[UnitInterval, ...]:
+        return tuple(UnitInterval(lo, up) for lo, up in self.pairs)
 
     @property
     def size(self) -> int:
-        return len(self.intervals)
+        return len(self.pairs)
 
     def as_tuples(self) -> tuple[tuple[float, float], ...]:
-        return tuple(iv.as_tuple() for iv in self.intervals)
+        return self.pairs
 
     def __iter__(self):
         return iter(self.intervals)
@@ -59,12 +78,10 @@ class IVHFE:
         return "{" + ",".join(str(iv) for iv in self.intervals) + "}"
 
 
+_set_pairs = IVHFE.pairs.__set__
+
 EMPTY_MEMBERSHIP = ((0.0, 0.0),)
 FULL_MEMBERSHIP = ((1.0, 1.0),)
-
-
-def _from_raw(raw: Iterable[tuple[float, float]]) -> IVHFE:
-    return IVHFE(tuple(UnitInterval(lo, up) for lo, up in raw))
 
 
 def canonicalize(intervals: Iterable[UnitInterval]) -> IVHFE:
@@ -72,8 +89,7 @@ def canonicalize(intervals: Iterable[UnitInterval]) -> IVHFE:
     items = tuple(intervals)
     if not items:
         raise EmptyElement("an element needs at least one interval")
-    raw = kernels.sort_element(tuple(iv.as_tuple() for iv in items))
-    return _from_raw(raw)
+    return IVHFE(kernels.sort_element(tuple(iv.as_tuple() for iv in items)))
 
 
 def element_of(*pairs: tuple[float, float]) -> IVHFE:
@@ -83,11 +99,11 @@ def element_of(*pairs: tuple[float, float]) -> IVHFE:
 
 def empty_element() -> IVHFE:
     """The {[0,0]} membership standing in for 'no membership'."""
-    return _from_raw(EMPTY_MEMBERSHIP)
+    return IVHFE(EMPTY_MEMBERSHIP)
 
 
 def full_element() -> IVHFE:
-    return _from_raw(FULL_MEMBERSHIP)
+    return IVHFE(FULL_MEMBERSHIP)
 
 
 def align(
@@ -98,15 +114,15 @@ def align(
     """Pad the shorter element to the longer's size; equal sizes pass through."""
     if a.size == b.size:
         return a, b
-    optimistic = policy is AlignmentPolicy.OPTIMISTIC
+    optimistic = policy is _OPTIMISTIC
     if a.size < b.size:
-        return _from_raw(kernels.extend_element(a.as_tuples(), b.size, optimistic)), b
-    return a, _from_raw(kernels.extend_element(b.as_tuples(), a.size, optimistic))
+        return IVHFE(kernels.extend_element(a.pairs, b.size, optimistic)), b
+    return a, IVHFE(kernels.extend_element(b.pairs, a.size, optimistic))
 
 
 def score(mu: IVHFE) -> UnitInterval:
     """Componentwise mean interval; always lands back inside [0,1]."""
-    return UnitInterval(*kernels.score_element(mu.as_tuples()))
+    return UnitInterval(*kernels.score_element(mu.pairs))
 
 
 def compare_by_score(mu1: IVHFE, mu2: IVHFE) -> RankOutcome:
@@ -115,7 +131,7 @@ def compare_by_score(mu1: IVHFE, mu2: IVHFE) -> RankOutcome:
 
 def complement(mu: IVHFE) -> IVHFE:
     """Interval complement memberwise; re-sorted since complement reverses order."""
-    return _from_raw(kernels.complement_element(mu.as_tuples()))
+    return IVHFE(kernels.complement_element(mu.pairs))
 
 
 def combine(
@@ -128,48 +144,55 @@ def combine(
     """Union or intersection of two elements under the requested semantics."""
     if kind not in ("union", "intersection"):
         raise KeyError(f"kind must be 'union' or 'intersection', got {kind!r}")
-    union = kind == "union"
-    if mode is CombineMode.ALIGNED:
-        raw = kernels.combine_aligned(
-            union, mu1.as_tuples(), mu2.as_tuples(), policy is AlignmentPolicy.OPTIMISTIC
-        )
-    else:
-        raw = kernels.combine_pairwise(union, mu1.as_tuples(), mu2.as_tuples())
-    return _from_raw(raw)
+    return IVHFE(pairs_combine(kind == "union", mode, policy)(mu1.pairs, mu2.pairs))
+
+
+def pairs_combine(union: bool, mode: CombineMode, policy: AlignmentPolicy):
+    """``combine`` as a function of two elements' pairs."""
+    if mode is _ALIGNED:
+        optimistic = policy is _OPTIMISTIC
+        return lambda a, b: kernels.combine_aligned(union, a, b, optimistic)
+    return lambda a, b: kernels.combine_pairwise(union, a, b)
 
 
 def ring_sum(mu1: IVHFE, mu2: IVHFE) -> IVHFE:
     """All-pairs a+b-ab on both endpoints; dedup and sort."""
-    return _from_raw(kernels.ring_sum_element(mu1.as_tuples(), mu2.as_tuples()))
+    return IVHFE(kernels.ring_sum_element(mu1.pairs, mu2.pairs))
 
 
 def ring_product(mu1: IVHFE, mu2: IVHFE) -> IVHFE:
     """All-pairs product on both endpoints; dedup and sort."""
-    return _from_raw(kernels.ring_product_element(mu1.as_tuples(), mu2.as_tuples()))
+    return IVHFE(kernels.ring_product_element(mu1.pairs, mu2.pairs))
 
 
 def apply_operator(kind: str, mu1: IVHFE, mu2: IVHFE) -> IVHFE:
     """All-pairs O1..O4; pairwise by construction, no alignment involved."""
     if kind not in OPERATOR_KINDS:
         raise KeyError(f"unknown operator kind {kind!r}")
-    return _from_raw(kernels.operator_element(kind, mu1.as_tuples(), mu2.as_tuples()))
+    return IVHFE(kernels.operator_element(kind, mu1.pairs, mu2.pairs))
 
 
-def _close(a: tuple[float, float], b: tuple[float, float], tol: float) -> bool:
-    return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
+def _all_close(a, b, tol: float) -> bool:
+    return len(a) == len(b) and all(
+        abs(x[0] - y[0]) <= tol and abs(x[1] - y[1]) <= tol for x, y in zip(a, b)
+    )
+
+
+def pairs_strict_equal(a, b, tol: float) -> bool:
+    """``strict_equal`` on two pair tuples, which need not be sorted."""
+    return len(a) == len(b) and _all_close(kernels.sort_element(a), kernels.sort_element(b), tol)
+
+
+def pairs_equivalent(a, b, tol: float) -> bool:
+    """``equivalent`` on two pair tuples, which need not be sorted."""
+    return _all_close(kernels.dedup_element(a), kernels.dedup_element(b), tol)
 
 
 def strict_equal(mu1: IVHFE, mu2: IVHFE, tol: float = DEFAULT_TOLERANCE) -> bool:
-    """Multiset equality: same size, sorted members pairwise within tol."""
-    if mu1.size != mu2.size:
-        return False
-    return all(_close(a, b, tol) for a, b in zip(mu1.as_tuples(), mu2.as_tuples()))
+    """Multiset equality: same size, rank-sorted members pairwise within tol."""
+    return pairs_strict_equal(mu1.pairs, mu2.pairs, tol)
 
 
 def equivalent(mu1: IVHFE, mu2: IVHFE, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Equality after collapsing duplicate intervals; the weaker predicate."""
-    d1 = kernels.dedup_element(mu1.as_tuples())
-    d2 = kernels.dedup_element(mu2.as_tuples())
-    if len(d1) != len(d2):
-        return False
-    return all(_close(a, b, tol) for a, b in zip(d1, d2))
+    return pairs_equivalent(mu1.pairs, mu2.pairs, tol)

@@ -129,10 +129,9 @@ def serialize_document(soft_set: IVHFSoftSet) -> str:
     for i, e in enumerate(soft_set.parameters):
         out.append(f"    {json.dumps(e)}: {{\n")
         for j, h in enumerate(soft_set.universe):
-            cell = soft_set.cell(e, h)
             rendered = ", ".join(
-                f"[{_render_number(iv.lower)}, {_render_number(iv.upper)}]"
-                for iv in cell.intervals
+                f"[{_render_number(lo)}, {_render_number(up)}]"
+                for lo, up in soft_set.pairs[(e, h)]
             )
             comma = "," if j + 1 < len(soft_set.universe) else ""
             out.append(f"      {json.dumps(h)}: [{rendered}]{comma}\n")

@@ -1,11 +1,20 @@
 """Law checking: enumeration, random trials, shrinking, reports.
 
+Operands and counterexamples are the public types: ``IVHFE`` elements and
+``IVHFSoftSet`` soft sets.  An ``aligned`` or ``pairwise`` law is evaluated
+by the public operations and comparisons alone.  A ``sequence`` or
+``synchronized`` law is evaluated in its private regime (:mod:`.evaluate`)
+and, where that fails, again through the public API.  Sequence sides are
+soft sets with unsorted cells, which the public comparisons sort;
+synchronized sides are per-pair lists, compared by ``equivalent``'s own
+pair-level body.
+
 For each law the search order is: curated seed instances, then the bounded
 exhaustive grid stream (where the law's arity allows one), then seeded
 random trials.  The first operand tuple that violates the law both in the
-registered regime and when replayed through the public API is shrunk to a
-locally minimal counterexample and reported; reports are therefore
-self-validating by construction.
+registered regime and through the public API is shrunk to a locally minimal
+counterexample and reported; reports are therefore self-validating by
+construction.
 """
 
 from __future__ import annotations
@@ -18,10 +27,9 @@ from .. import elements as E
 from .. import softsets as S
 from .. import _kernels_py as kernels
 from ..errors import BudgetExceeded
-from ..intervals import UnitInterval
-from . import evaluate as ev
+from ..elements import IVHFE
+from ..softsets import IVHFSoftSet
 from . import generators as gen
-from .evaluate import RawSoft
 from .registry import Law, registry
 
 ENUMERATION_CAP = 300_000
@@ -75,99 +83,79 @@ class LawReport:
         return out
 
 
-# --- raw/public bridging ---
+# --- evaluation ---
 
 
-def _raw_compare(law: Law, lhs, rhs, tol: float) -> bool:
+def _holds(law: Law, lhs, rhs, tol: float) -> bool:
+    """Compare a law's two sides with the public comparison it names."""
     if law.level == "element":
         if law.equality == "strict":
-            return ev.elements_strict_equal(lhs, rhs, tol)
-        if law.equality == "equivalent":
-            return ev.elements_equivalent(lhs, rhs, tol)
-        return ev.element_leq(lhs, rhs, tol)
+            return E.strict_equal(lhs, rhs, tol)
+        return E.equivalent(lhs, rhs, tol)
     if law.equality == "strict":
-        return ev.soft_strict_equal(lhs, rhs, tol)
+        return S.soft_strict_equal(lhs, rhs, tol)
     if law.equality == "equivalent":
-        return ev.soft_equivalent(lhs, rhs, tol)
-    return ev.soft_subset(lhs, rhs, tol)
-
-
-def _to_public_element(raw) -> E.IVHFE:
-    return E.canonicalize([UnitInterval(lo, up) for lo, up in raw])
-
-
-def _to_public_soft(raw: RawSoft) -> S.IVHFSoftSet:
-    values = {
-        e: {h: _to_public_element(raw.cell(e, h)) for h in raw.universe}
-        for e in raw.params
-    }
-    return S.make_soft_set(raw.universe, raw.params, values)
+        return S.soft_equivalent(lhs, rhs, tol)
+    return S.is_subset(lhs, rhs, tol=tol)
 
 
 def _public_violates(law: Law, ops, tol: float) -> bool:
-    if law.level == "element":
-        pops = tuple(_to_public_element(o) for o in ops)
-        lhs, rhs = law.build_public(pops)
-        if law.equality == "strict":
-            return not E.strict_equal(lhs, rhs, tol)
-        return not E.equivalent(lhs, rhs, tol)
-    pops = tuple(_to_public_soft(o) for o in ops)
-    lhs, rhs = law.build_public(pops)
-    if law.equality == "strict":
-        return not S.soft_strict_equal(lhs, rhs, tol)
-    if law.equality == "equivalent":
-        return not S.soft_equivalent(lhs, rhs, tol)
-    return not S.is_subset(lhs, rhs, tol=tol)
+    return not _holds(law, *law.build_public(ops), tol)
+
+
+def _violates(law: Law, ops, tol: float) -> bool:
+    """Violated in the law's regime and, if that is a private one, publicly too."""
+    lhs, rhs = law.build_raw(ops)
+    if law.mode == "synchronized":  # the sides are per-pair lists, not elements
+        holds = E.pairs_equivalent(lhs, rhs, tol)
+    else:
+        holds = _holds(law, lhs, rhs, tol)
+    if holds:
+        return False
+    return law.mode in ("aligned", "pairwise") or _public_violates(law, ops, tol)
 
 
 def _valid(law: Law, ops) -> bool:
     if law.level == "soft":
-        if any(not o.params for o in ops):
+        if any(not o.parameters for o in ops):
             return False
         if law.parameter_mode == "shared":
-            first = set(ops[0].params)
-            if any(set(o.params) != first for o in ops[1:]):
+            first = set(ops[0].parameters)
+            if any(set(o.parameters) != first for o in ops[1:]):
                 return False
     return law.constraint(ops)
-
-
-def _violates(law: Law, ops, tol: float) -> bool:
-    lhs, rhs = law.build_raw(ops)
-    return not _raw_compare(law, lhs, rhs, tol)
 
 
 # --- operand streams ---
 
 
-def _element_enumeration(law: Law, config: CheckConfig) -> tuple[Iterable, bool]:
-    elems = gen.grid_elements(config.grid_step, config.max_element_size)
-    singles = [e for e in elems if len(e) == 1]
-    if law.arity == 2:
-        total = len(elems) ** 2
-        if total > ENUMERATION_CAP:
-            raise BudgetExceeded(f"{law.law_id}: {total} pairs exceeds cap {ENUMERATION_CAP}")
-        return itertools.product(elems, elems), True
-    total = len(singles) ** 2 * len(elems)
+def _over_cap(law: Law, total: int, what: str) -> None:
     if total > ENUMERATION_CAP:
-        raise BudgetExceeded(f"{law.law_id}: {total} triples exceeds cap {ENUMERATION_CAP}")
+        raise BudgetExceeded(f"{law.law_id}: {total} {what} exceeds cap {ENUMERATION_CAP}")
+
+
+def _element_enumeration(law: Law, config: CheckConfig) -> tuple[Iterable, bool]:
+    count = gen.grid_element_count(config.grid_step, config.max_element_size)
+    if law.arity == 2:
+        _over_cap(law, count**2, "pairs")
+        elems = gen.grid_elements(config.grid_step, config.max_element_size)
+        return itertools.product(elems, elems), True
+    _over_cap(law, gen.grid_element_count(config.grid_step, 1) ** 2 * count, "triples")
+    elems = gen.grid_elements(config.grid_step, config.max_element_size)
+    singles = [e for e in elems if e.size == 1]
     return itertools.product(singles, singles, elems), False
 
 
 def _soft_enumeration(law: Law, config: CheckConfig) -> tuple[Iterable, bool]:
     if law.arity > 2:
         return (), False
-    elems = gen.grid_elements(config.grid_step, config.max_element_size)
-    universe = ("h1",)
-
-    def wrap(elem):
-        return RawSoft(("e1",), universe, {("e1", "h1"): elem})
-
-    if law.arity == 1:
-        return ((wrap(e),) for e in elems), False
-    total = len(elems) ** 2
-    if total > ENUMERATION_CAP:
-        raise BudgetExceeded(f"{law.law_id}: {total} pairs exceeds cap {ENUMERATION_CAP}")
-    return ((wrap(a), wrap(b)) for a, b in itertools.product(elems, elems)), False
+    count = gen.grid_element_count(config.grid_step, config.max_element_size)
+    _over_cap(law, count**law.arity, "pairs" if law.arity == 2 else "elements")
+    softs = [
+        IVHFSoftSet(("h1",), ("e1",), {("e1", "h1"): e.pairs})
+        for e in gen.grid_elements(config.grid_step, config.max_element_size)
+    ]
+    return itertools.product(softs, repeat=law.arity), False
 
 
 def _random_stream(law: Law, config: CheckConfig) -> Iterator:
@@ -212,9 +200,9 @@ def _snap_value(x: float, step: float) -> float:
     return min(1.0, max(0.0, snapped))
 
 
-def _snap_element(elem, step):
+def _snap_pairs(pairs, step):
     out = []
-    for lo, up in elem:
+    for lo, up in pairs:
         a, b = _snap_value(lo, step), _snap_value(up, step)
         if a > b:
             a, b = b, a
@@ -224,54 +212,52 @@ def _snap_element(elem, step):
 
 def _shrink_candidates_element(ops, step):
     for i, elem in enumerate(ops):
-        if len(elem) > 1:
-            for j in range(len(elem)):
-                smaller = elem[:j] + elem[j + 1 :]
-                yield ops[:i] + (kernels.sort_element(smaller),) + ops[i + 1 :]
+        pairs = elem.pairs
+        if len(pairs) > 1:
+            for j in range(len(pairs)):
+                yield ops[:i] + (IVHFE(pairs[:j] + pairs[j + 1 :]),) + ops[i + 1 :]
     for i, elem in enumerate(ops):
-        snapped = _snap_element(elem, step)
-        if snapped != elem:
-            yield ops[:i] + (snapped,) + ops[i + 1 :]
+        snapped = _snap_pairs(elem.pairs, step)
+        if snapped != elem.pairs:
+            yield ops[:i] + (IVHFE(snapped),) + ops[i + 1 :]
 
 
-def _drop_param(soft: RawSoft, e: str) -> RawSoft:
-    params = tuple(p for p in soft.params if p != e)
-    cells = {k: v for k, v in soft.cells.items() if k[0] != e}
-    return RawSoft(params, soft.universe, cells)
+def _drop_param(soft: IVHFSoftSet, e: str) -> IVHFSoftSet:
+    params = tuple(p for p in soft.parameters if p != e)
+    pairs = {k: v for k, v in soft.pairs.items() if k[0] != e}
+    return IVHFSoftSet(soft.universe, params, pairs)
 
 
-def _drop_object(soft: RawSoft, h: str) -> RawSoft:
+def _drop_object(soft: IVHFSoftSet, h: str) -> IVHFSoftSet:
     universe = tuple(x for x in soft.universe if x != h)
-    cells = {k: v for k, v in soft.cells.items() if k[1] != h}
-    return RawSoft(soft.params, universe, cells)
+    pairs = {k: v for k, v in soft.pairs.items() if k[1] != h}
+    return IVHFSoftSet(universe, soft.parameters, pairs)
 
 
-def _replace_cell(soft: RawSoft, key, elem) -> RawSoft:
-    cells = dict(soft.cells)
-    cells[key] = elem
-    return RawSoft(soft.params, soft.universe, cells)
+def _replace_cell(soft: IVHFSoftSet, key, cell) -> IVHFSoftSet:
+    return IVHFSoftSet(soft.universe, soft.parameters, {**soft.pairs, key: cell})
 
 
 def _shrink_candidates_soft(ops, step):
     for i, soft in enumerate(ops):
-        if len(soft.params) > 1:
-            for e in soft.params:
+        if len(soft.parameters) > 1:
+            for e in soft.parameters:
                 yield ops[:i] + (_drop_param(soft, e),) + ops[i + 1 :]
     universe = ops[0].universe
     if len(universe) > 1:
         for h in universe:
             yield tuple(_drop_object(o, h) for o in ops)
     for i, soft in enumerate(ops):
-        for key in sorted(soft.cells):
-            elem = soft.cells[key]
-            if len(elem) > 1:
-                for j in range(len(elem)):
-                    smaller = kernels.sort_element(elem[:j] + elem[j + 1 :])
+        for key in sorted(soft.pairs):
+            cell = soft.pairs[key]
+            if len(cell) > 1:
+                for j in range(len(cell)):
+                    smaller = cell[:j] + cell[j + 1 :]
                     yield ops[:i] + (_replace_cell(soft, key, smaller),) + ops[i + 1 :]
     for i, soft in enumerate(ops):
-        snapped_cells = {k: _snap_element(v, step) for k, v in soft.cells.items()}
-        if snapped_cells != soft.cells:
-            yield ops[:i] + (RawSoft(soft.params, soft.universe, snapped_cells),) + ops[i + 1 :]
+        snapped = {k: _snap_pairs(v, step) for k, v in soft.pairs.items()}
+        if snapped != soft.pairs:
+            yield ops[:i] + (IVHFSoftSet(soft.universe, soft.parameters, snapped),) + ops[i + 1 :]
 
 
 def _shrink(law: Law, ops, config: CheckConfig) -> tuple[tuple, int]:
@@ -285,11 +271,7 @@ def _shrink(law: Law, ops, config: CheckConfig) -> tuple[tuple, int]:
             else _shrink_candidates_soft(ops, config.grid_step)
         )
         for cand in candidates:
-            if not _valid(law, cand):
-                continue
-            if not _violates(law, cand, config.tolerance):
-                continue
-            if not _public_violates(law, cand, config.tolerance):
+            if not _valid(law, cand) or not _violates(law, cand, config.tolerance):
                 continue
             ops = cand
             steps += 1
@@ -301,17 +283,13 @@ def _shrink(law: Law, ops, config: CheckConfig) -> tuple[tuple, int]:
 # --- serialization ---
 
 
-def _element_json(elem) -> list:
-    return [[lo, up] for lo, up in elem]
-
-
-def _soft_json(soft: RawSoft) -> dict:
+def _soft_json(soft: IVHFSoftSet) -> dict:
     return {
         "universe": list(soft.universe),
-        "parameters": list(soft.params),
+        "parameters": list(soft.parameters),
         "values": {
-            e: {h: _element_json(soft.cell(e, h)) for h in soft.universe}
-            for e in soft.params
+            e: {h: [list(iv) for iv in soft.pairs[(e, h)]] for h in soft.universe}
+            for e in soft.parameters
         },
     }
 
@@ -322,10 +300,12 @@ def _counterexample_json(law: Law, ops) -> dict:
         # report the sides as they were compared: deduplicated for an
         # ``equivalent`` law (a synchronized side is a per-pair list)
         canonical = kernels.dedup_element if law.equality == "equivalent" else kernels.sort_element
+        if law.mode != "synchronized":
+            lhs, rhs = lhs.pairs, rhs.pairs
         return {
-            "operands": [_element_json(o) for o in ops],
-            "lhs": _element_json(canonical(lhs)),
-            "rhs": _element_json(canonical(rhs)),
+            "operands": [[list(iv) for iv in o.pairs] for o in ops],
+            "lhs": [list(iv) for iv in canonical(lhs)],
+            "rhs": [list(iv) for iv in canonical(rhs)],
         }
     return {
         "operands": [_soft_json(o) for o in ops],
@@ -336,27 +316,20 @@ def _counterexample_json(law: Law, ops) -> dict:
 
 def _operands_from_json(law: Law, counterexample: dict):
     if law.level == "element":
-        return tuple(
-            tuple((float(lo), float(up)) for lo, up in op)
-            for op in counterexample["operands"]
+        return tuple(E.element_of(*op) for op in counterexample["operands"])
+    return tuple(
+        S.make_soft_set(
+            doc["universe"],
+            doc["parameters"],
+            {e: {h: E.element_of(*cell) for h, cell in row.items()} for e, row in doc["values"].items()},
         )
-    out = []
-    for doc in counterexample["operands"]:
-        params = tuple(doc["parameters"])
-        universe = tuple(doc["universe"])
-        cells = {
-            (e, h): tuple((float(lo), float(up)) for lo, up in doc["values"][e][h])
-            for e in params
-            for h in universe
-        }
-        out.append(RawSoft(params, universe, cells))
-    return tuple(out)
+        for doc in counterexample["operands"]
+    )
 
 
 def replay(law: Law, counterexample: dict, tolerance: float = 1e-12) -> bool:
     """True when the stored counterexample still violates via the public API."""
-    ops = _operands_from_json(law, counterexample)
-    return _public_violates(law, ops, tolerance)
+    return _public_violates(law, _operands_from_json(law, counterexample), tolerance)
 
 
 # --- driving ---
@@ -390,9 +363,6 @@ def check_law(law: Law, config: CheckConfig | None = None, allow_partial: bool =
             continue
         trials += 1
         if _violates(law, ops, config.tolerance):
-            if not _public_violates(law, ops, config.tolerance):
-                # regime-only mismatch; not reportable as a public counterexample
-                continue
             shrunk, steps = _shrink(law, ops, config)
             return LawReport(
                 law_id=law.law_id,

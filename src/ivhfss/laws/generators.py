@@ -13,11 +13,13 @@ configured seed.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from itertools import combinations_with_replacement
 
 from .. import _kernels_py as kernels
-from .evaluate import RawSoft
+from ..elements import IVHFE, element_of
+from ..softsets import IVHFSoftSet, make_soft_set
 
 
 def rng_for(seed: int, law_id: str) -> random.Random:
@@ -31,11 +33,18 @@ def grid_intervals(step: float) -> list[tuple[float, float]]:
     return [(lo, up) for lo in points for up in points if lo <= up]
 
 
-def grid_elements(step: float, max_size: int) -> list[tuple]:
+def grid_element_count(step: float, max_size: int) -> int:
+    """``len(grid_elements(step, max_size))``, counted without building any."""
+    n = round(1.0 / step)
+    intervals = (n + 1) * (n + 2) // 2
+    return sum(math.comb(intervals + size - 1, size) for size in range(1, max_size + 1))
+
+
+def grid_elements(step: float, max_size: int) -> list[IVHFE]:
     ivs = grid_intervals(step)
-    out: list[tuple] = []
+    out: list[IVHFE] = []
     for size in range(1, max_size + 1):
-        out.extend(tuple(c) for c in combinations_with_replacement(ivs, size))
+        out.extend(IVHFE(kernels.sort_element(c)) for c in combinations_with_replacement(ivs, size))
     return out
 
 
@@ -51,9 +60,13 @@ def random_interval(rng: random.Random, step: float, snap: bool) -> tuple[float,
     return (a, b)
 
 
-def random_element(rng: random.Random, step: float, max_size: int, snap: bool) -> tuple:
+def _random_pairs(rng: random.Random, step: float, max_size: int, snap: bool) -> tuple:
     size = rng.randint(1, max_size)
     return kernels.sort_element([random_interval(rng, step, snap) for _ in range(size)])
+
+
+def random_element(rng: random.Random, step: float, max_size: int, snap: bool) -> IVHFE:
+    return IVHFE(_random_pairs(rng, step, max_size, snap))
 
 
 def random_soft(
@@ -63,13 +76,13 @@ def random_soft(
     step: float,
     max_size: int,
     snap: bool,
-) -> RawSoft:
-    cells = {
-        (e, h): random_element(rng, step, max_size, snap)
+) -> IVHFSoftSet:
+    pairs = {
+        (e, h): _random_pairs(rng, step, max_size, snap)
         for e in params
         for h in universe
     }
-    return RawSoft(params, universe, cells)
+    return IVHFSoftSet(universe, params, pairs)
 
 
 def random_param_sets(
@@ -92,10 +105,9 @@ def random_param_sets(
 # ---------------------------------------------------------------------------
 
 
-def _soft(universe, table) -> RawSoft:
-    params = tuple(table)
-    cells = {(e, h): tuple(table[e][h]) for e in table for h in universe}
-    return RawSoft(params, tuple(universe), cells)
+def _soft(universe, table) -> IVHFSoftSet:
+    values = {e: {h: element_of(*row[h]) for h in universe} for e, row in table.items()}
+    return make_soft_set(universe, tuple(table), values)
 
 
 _U = ("h1", "h2")
@@ -132,16 +144,16 @@ SEED_TIE_G = _soft(("h1",), {"e1": {"h1": [(0.25, 0.25), (0.25, 0.5)]}})
 SEED_TIE_H = _soft(("h1",), {"e1": {"h1": [(0.0, 0.0), (1.0, 1.0)]}})
 
 
-def restrict(soft: RawSoft, params) -> RawSoft:
-    keep = tuple(e for e in soft.params if e in set(params))
-    cells = {(e, h): soft.cells[(e, h)] for e in keep for h in soft.universe}
-    return RawSoft(keep, soft.universe, cells)
+def restrict(soft: IVHFSoftSet, params) -> IVHFSoftSet:
+    keep = tuple(e for e in soft.parameters if e in set(params))
+    pairs = {(e, h): soft.pairs[(e, h)] for e in keep for h in soft.universe}
+    return IVHFSoftSet(soft.universe, keep, pairs)
 
 
 def _common(ops):
-    acc = set(ops[0].params)
+    acc = set(ops[0].parameters)
     for o in ops[1:]:
-        acc &= set(o.params)
+        acc &= set(o.parameters)
     return tuple(sorted(acc))
 
 

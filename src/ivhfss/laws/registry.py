@@ -19,11 +19,15 @@ evaluation regime under which its claim is checked:
 Each law's composition is written once, as a body ``body(A, *operands)``
 over an algebra ``A`` (``union``, ``intersection``, ``complement``, the
 ``empty``/``full`` constants, the family folds, ``ring_sum``/``ring_product``
-and ``operator``).  ``_law`` binds the body twice: ``build_raw`` evaluates it
-on the raw layer (:mod:`.evaluate`) in the pinned regime; ``build_public``
+and ``operator``).  There is one algebra, the public API, bound to one combine
+mode; ``aligned`` and ``pairwise`` laws are evaluated by it alone.  The
+``sequence`` and ``synchronized`` regimes, which the public API does not
+offer, are private to the checker (:mod:`.evaluate`).  ``_law`` binds the
+body twice: ``build_raw`` evaluates it in the pinned regime; ``build_public``
 evaluates it through the public API in its literal mode (``ALIGNED`` for the
 ``aligned`` and ``sequence`` regimes, ``PAIRWISE`` for the others), and is
-what reported counterexamples are validated against.
+what reported counterexamples are validated against.  For ``aligned`` and
+``pairwise`` laws the two are the same evaluation.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .. import elements as E
 from .. import softsets as S
 from ..elements import CombineMode
 from . import evaluate as ev
-from .evaluate import RawSoft
 
 ALIGNED = CombineMode.ALIGNED
 PAIRWISE = CombineMode.PAIRWISE
@@ -54,8 +57,8 @@ class Law:
     equality: str  # "strict" | "equivalent" | "subset"
     mode: str  # "aligned" | "pairwise" | "sequence" | "synchronized"
     arity: int
-    build_raw: Callable
-    build_public: Callable
+    build_raw: Callable  # operands -> (lhs, rhs) in the pinned regime
+    build_public: Callable  # operands -> (lhs, rhs) through the public API
     constraint: Callable = _anything
 
     @property
@@ -125,12 +128,14 @@ class _PublicSoftSets:
 
 
 def _algebras(level: str, mode: str):
-    """(raw algebra in the regime ``mode``, public algebra in its literal mode)."""
+    """(algebra of the regime ``mode``, public algebra in its literal mode)."""
     literal = ALIGNED if mode in ("aligned", "sequence") else PAIRWISE
-    if level == "soft":
-        return ev.SoftSets(mode), _PublicSoftSets(literal)
-    raw = ev.SynchronizedElements() if mode == "synchronized" else ev.PairwiseElements()
-    return raw, _PublicElements(literal)
+    public = _PublicSoftSets(literal) if level == "soft" else _PublicElements(literal)
+    if mode == "sequence":
+        return ev.SequenceSoftSets(), public
+    if mode == "synchronized":
+        return ev.SynchronizedElements(), public
+    return public, public
 
 
 def _law(
@@ -144,8 +149,8 @@ def _law(
     body: Callable,
     constraint: Callable = _anything,
 ) -> Law:
-    """The one factory: bind ``body`` to the raw and the public algebra."""
-    raw, public = _algebras(level, mode)
+    """The one factory: bind ``body`` to the regime's and the public algebra."""
+    regime, public = _algebras(level, mode)
     return Law(
         law_id,
         description,
@@ -154,18 +159,18 @@ def _law(
         equality,
         mode,
         arity,
-        lambda ops: body(raw, *ops),
+        lambda ops: body(regime, *ops),
         lambda ops: body(public, *ops),
         constraint,
     )
 
 
 def _inter_nonempty(*groups):
-    def check(ops: Sequence[RawSoft]):
+    def check(ops: Sequence[S.IVHFSoftSet]):
         for idxs in groups:
-            acc = set(ops[idxs[0]].params)
+            acc = set(ops[idxs[0]].parameters)
             for i in idxs[1:]:
-                acc &= set(ops[i].params)
+                acc &= set(ops[i].parameters)
             if not acc:
                 return False
         return True
@@ -335,9 +340,9 @@ def _distrib(prop: str, i: str, parameter_mode: str, mode: str, equality: str) -
 
 
 def _common_parameter(ops) -> bool:
-    acc = set(ops[0].params)
+    acc = set(ops[0].parameters)
     for o in ops[1:]:
-        acc &= set(o.params)
+        acc &= set(o.parameters)
     return bool(acc)
 
 

@@ -1,10 +1,10 @@
 """Parameterized families of hesitant sets over a fixed universe.
 
-An ``IVHFSoftSet`` maps each parameter to a table assigning every universe
-object an element.  Union follows the three-case rule over the united
-parameter set (copy where only one side knows the parameter, combine where
-both do); intersection restricts to the shared parameters.  Family versions
-fold the binary operations.
+An ``IVHFSoftSet`` assigns an element to every (parameter, object) cell.
+Union follows the three-case rule over the united parameter set (copy where
+only one side knows the parameter, combine where both do); intersection
+restricts to the shared parameters.  Family versions fold the binary
+operations.  Objects are ranked by their mean score across parameters.
 """
 
 from __future__ import annotations
@@ -12,15 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import elements
+from . import _kernels_py as kernels
 from .elements import (
     DEFAULT_TOLERANCE,
+    EMPTY_MEMBERSHIP,
+    FULL_MEMBERSHIP,
     AlignmentPolicy,
     CombineMode,
     IVHFE,
-    align,
-    empty_element,
-    full_element,
+    pairs_combine,
+    pairs_equivalent,
+    pairs_strict_equal,
+    score,
 )
 from .errors import (
     EmptyFamily,
@@ -29,33 +32,39 @@ from .errors import (
     ParameterMismatch,
     UniverseMismatch,
 )
+from .intervals import OPERATOR_KINDS, UnitInterval, Verdict, rank_compare, rank_key
+
+Pairs = tuple  # an element's (lower, upper) pairs, as IVHFE.pairs holds them
 
 
-@dataclass(frozen=True, slots=True)
-class IVHFSet:
-    """One parameter's value: an element for every universe object."""
-
-    values: dict[str, IVHFE]
-
-    def __getitem__(self, obj: str) -> IVHFE:
-        return self.values[obj]
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class IVHFSoftSet:
-    """Universe, parameter list, and the parameter -> object -> element table."""
+    """Universe, parameter list, and the (parameter, object) -> cell table.
+
+    Each cell is stored as its element's (lower, upper) pairs; ``cell`` builds
+    the IVHFE view of one.  No operation modifies a soft set it is given.
+    """
 
     universe: tuple[str, ...]
     parameters: tuple[str, ...]
-    table: dict[str, IVHFSet]
+    pairs: dict[tuple[str, str], Pairs]
 
     def cell(self, parameter: str, obj: str) -> IVHFE:
-        return self.table[parameter].values[obj]
+        return IVHFE(self.pairs[(parameter, obj)])
 
     def cells(self):
         for e in self.parameters:
             for h in self.universe:
-                yield e, h, self.table[e].values[h]
+                yield e, h, self.cell(e, h)
+
+
+def _check_names(universe: tuple[str, ...], parameters: tuple[str, ...]) -> None:
+    if not universe:
+        raise EmptyUniverse("universe must be nonempty")
+    if len(set(universe)) != len(universe):
+        raise UniverseMismatch(f"duplicate object names in {universe}")
+    if len(set(parameters)) != len(parameters):
+        raise ParameterMismatch(f"duplicate parameter names in {parameters}")
 
 
 def make_soft_set(
@@ -66,37 +75,71 @@ def make_soft_set(
     """Validating constructor: unique names, full coverage, canonical cells."""
     universe = tuple(universe)
     parameters = tuple(parameters)
-    if not universe:
-        raise EmptyUniverse("universe must be nonempty")
-    if len(set(universe)) != len(universe):
-        raise UniverseMismatch(f"duplicate object names in {universe}")
-    if len(set(parameters)) != len(parameters):
-        raise ParameterMismatch(f"duplicate parameter names in {parameters}")
+    _check_names(universe, parameters)
     if set(values) != set(parameters):
         raise ParameterMismatch(
             f"table keys {sorted(values)} do not match parameters {sorted(parameters)}"
         )
-    table = {}
+    pairs = {}
     for e in parameters:
         row = values[e]
         if set(row) != set(universe):
             raise UniverseMismatch(
                 f"parameter {e!r} covers {sorted(row)}, expected {sorted(universe)}"
             )
-        table[e] = IVHFSet({h: row[h] for h in universe})
-    return IVHFSoftSet(universe, parameters, table)
+        for h in universe:
+            pairs[(e, h)] = row[h].pairs
+    return IVHFSoftSet(universe, parameters, pairs)
 
 
 def _require_same_universe(f: IVHFSoftSet, g: IVHFSoftSet) -> tuple[str, ...]:
-    if set(f.universe) != set(g.universe):
+    if f.universe != g.universe and set(f.universe) != set(g.universe):
         raise UniverseMismatch(
             f"universes differ: {sorted(f.universe)} vs {sorted(g.universe)}"
         )
     return f.universe
 
 
-def _merged_parameters(a: Sequence[str], b: Sequence[str]) -> tuple[str, ...]:
-    return tuple(a) + tuple(e for e in b if e not in set(a))
+def _shared_parameters(f: IVHFSoftSet, g: IVHFSoftSet) -> tuple[str, ...]:
+    gset = set(g.parameters)
+    shared = tuple(e for e in f.parameters if e in gset)
+    if not shared:
+        raise EmptyParameterIntersection(
+            f"no shared parameters between {f.parameters} and {g.parameters}"
+        )
+    return shared
+
+
+def union_rule(
+    f: IVHFSoftSet, g: IVHFSoftSet, combine: Callable[[Pairs, Pairs], Pairs]
+) -> IVHFSoftSet:
+    """The union over the united parameters, with ``combine`` on shared cells."""
+    universe = _require_same_universe(f, g)
+    fset, gset = set(f.parameters), set(g.parameters)
+    parameters = f.parameters + tuple(e for e in g.parameters if e not in fset)
+    pairs = {}
+    for e in parameters:
+        for h in universe:
+            key = (e, h)
+            if e in fset and e in gset:
+                pairs[key] = combine(f.pairs[key], g.pairs[key])
+            elif e in fset:
+                pairs[key] = f.pairs[key]
+            else:
+                pairs[key] = g.pairs[key]
+    return IVHFSoftSet(universe, parameters, pairs)
+
+
+def intersection_rule(
+    f: IVHFSoftSet, g: IVHFSoftSet, combine: Callable[[Pairs, Pairs], Pairs]
+) -> IVHFSoftSet:
+    """The intersection over the shared parameters, cells by ``combine``."""
+    universe = _require_same_universe(f, g)
+    shared = _shared_parameters(f, g)
+    pairs = {
+        (e, h): combine(f.pairs[(e, h)], g.pairs[(e, h)]) for e in shared for h in universe
+    }
+    return IVHFSoftSet(universe, shared, pairs)
 
 
 def soft_union(
@@ -106,20 +149,7 @@ def soft_union(
     mode: CombineMode = CombineMode.ALIGNED,
 ) -> IVHFSoftSet:
     """Parameters unite; sole-owner parameters copy, shared ones combine."""
-    universe = _require_same_universe(f, g)
-    fset, gset = set(f.parameters), set(g.parameters)
-    values: dict[str, dict[str, IVHFE]] = {}
-    for e in _merged_parameters(f.parameters, g.parameters):
-        if e in fset and e in gset:
-            values[e] = {
-                h: elements.combine("union", f.cell(e, h), g.cell(e, h), mode, policy)
-                for h in universe
-            }
-        elif e in fset:
-            values[e] = {h: f.cell(e, h) for h in universe}
-        else:
-            values[e] = {h: g.cell(e, h) for h in universe}
-    return make_soft_set(universe, tuple(values), values)
+    return union_rule(f, g, pairs_combine(True, mode, policy))
 
 
 def soft_intersection(
@@ -129,46 +159,30 @@ def soft_intersection(
     mode: CombineMode = CombineMode.ALIGNED,
 ) -> IVHFSoftSet:
     """Restrict to shared parameters and combine cellwise."""
-    universe = _require_same_universe(f, g)
-    gset = set(g.parameters)
-    shared = tuple(e for e in f.parameters if e in gset)
-    if not shared:
-        raise EmptyParameterIntersection(
-            f"no shared parameters between {f.parameters} and {g.parameters}"
-        )
-    values = {
-        e: {
-            h: elements.combine("intersection", f.cell(e, h), g.cell(e, h), mode, policy)
-            for h in universe
-        }
-        for e in shared
-    }
-    return make_soft_set(universe, shared, values)
+    return intersection_rule(f, g, pairs_combine(False, mode, policy))
 
 
 def soft_complement(f: IVHFSoftSet) -> IVHFSoftSet:
-    values = {
-        e: {h: elements.complement(f.cell(e, h)) for h in f.universe}
-        for e in f.parameters
-    }
-    return make_soft_set(f.universe, f.parameters, values)
+    pairs = {key: kernels.complement_element(cell) for key, cell in f.pairs.items()}
+    return IVHFSoftSet(f.universe, f.parameters, pairs)
 
 
 def _constant_soft_set(
-    parameters: Sequence[str], universe: Sequence[str], cell: Callable[[], IVHFE]
+    parameters: Sequence[str], universe: Sequence[str], cell: Pairs
 ) -> IVHFSoftSet:
-    values = {e: {h: cell() for h in universe} for e in parameters}
-    return make_soft_set(tuple(universe), tuple(parameters), values)
+    parameters, universe = tuple(parameters), tuple(universe)
+    _check_names(universe, parameters)
+    return IVHFSoftSet(universe, parameters, {(e, h): cell for e in parameters for h in universe})
 
 
 def empty_of(parameters: Sequence[str], universe: Sequence[str]) -> IVHFSoftSet:
     """Every cell is {[0,0]}."""
-    return _constant_soft_set(parameters, universe, empty_element)
+    return _constant_soft_set(parameters, universe, EMPTY_MEMBERSHIP)
 
 
 def full_of(parameters: Sequence[str], universe: Sequence[str]) -> IVHFSoftSet:
     """Every cell is {[1,1]}."""
-    return _constant_soft_set(parameters, universe, full_element)
+    return _constant_soft_set(parameters, universe, FULL_MEMBERSHIP)
 
 
 def is_subset(
@@ -181,52 +195,44 @@ def is_subset(
     _require_same_universe(f, g)
     if not set(f.parameters) <= set(g.parameters):
         return False
+    optimistic = policy is AlignmentPolicy.OPTIMISTIC
     for e in f.parameters:
         for h in f.universe:
-            a, b = align(f.cell(e, h), g.cell(e, h), policy)
-            for x, y in zip(a.intervals, b.intervals):
-                if x.lower > y.lower + tol or x.upper > y.upper + tol:
+            a, b = f.pairs[(e, h)], g.pairs[(e, h)]
+            size = max(len(a), len(b))
+            a = kernels.extend_element(a, size, optimistic)
+            b = kernels.extend_element(b, size, optimistic)
+            for x, y in zip(a, b):
+                if x[0] > y[0] + tol or x[1] > y[1] + tol:
                     return False
     return True
 
 
 def _cellwise_same_parameters(
-    f: IVHFSoftSet, g: IVHFSoftSet, op: Callable[[IVHFE, IVHFE], IVHFE]
+    f: IVHFSoftSet, g: IVHFSoftSet, op: Callable[[Pairs, Pairs], Pairs]
 ) -> IVHFSoftSet:
     universe = _require_same_universe(f, g)
     if set(f.parameters) != set(g.parameters):
         raise ParameterMismatch(
             f"parameter sets differ: {sorted(f.parameters)} vs {sorted(g.parameters)}"
         )
-    values = {
-        e: {h: op(f.cell(e, h), g.cell(e, h)) for h in universe}
-        for e in f.parameters
-    }
-    return make_soft_set(universe, f.parameters, values)
+    pairs = {(e, h): op(f.pairs[(e, h)], g.pairs[(e, h)]) for e in f.parameters for h in universe}
+    return IVHFSoftSet(universe, f.parameters, pairs)
 
 
 def soft_ring_sum(f: IVHFSoftSet, g: IVHFSoftSet) -> IVHFSoftSet:
-    return _cellwise_same_parameters(f, g, elements.ring_sum)
+    return _cellwise_same_parameters(f, g, kernels.ring_sum_element)
 
 
 def soft_ring_product(f: IVHFSoftSet, g: IVHFSoftSet) -> IVHFSoftSet:
-    return _cellwise_same_parameters(f, g, elements.ring_product)
+    return _cellwise_same_parameters(f, g, kernels.ring_product_element)
 
 
 def soft_apply_operator(kind: str, f: IVHFSoftSet, g: IVHFSoftSet) -> IVHFSoftSet:
     """O1..O4 cellwise on the shared parameters."""
-    universe = _require_same_universe(f, g)
-    gset = set(g.parameters)
-    shared = tuple(e for e in f.parameters if e in gset)
-    if not shared:
-        raise EmptyParameterIntersection(
-            f"no shared parameters between {f.parameters} and {g.parameters}"
-        )
-    values = {
-        e: {h: elements.apply_operator(kind, f.cell(e, h), g.cell(e, h)) for h in universe}
-        for e in shared
-    }
-    return make_soft_set(universe, shared, values)
+    if kind not in OPERATOR_KINDS:
+        raise KeyError(f"unknown operator kind {kind!r}")
+    return intersection_rule(f, g, lambda a, b: kernels.operator_element(kind, a, b))
 
 
 def family_union(
@@ -264,16 +270,18 @@ def family_intersection(
     return acc
 
 
+def _same_names(f: IVHFSoftSet, g: IVHFSoftSet) -> bool:
+    return (f.parameters == g.parameters or set(f.parameters) == set(g.parameters)) and (
+        f.universe == g.universe or set(f.universe) == set(g.universe)
+    )
+
+
 def soft_strict_equal(
     f: IVHFSoftSet, g: IVHFSoftSet, tol: float = DEFAULT_TOLERANCE
 ) -> bool:
     """Same parameters and cellwise strict multiset equality."""
-    if set(f.parameters) != set(g.parameters) or set(f.universe) != set(g.universe):
-        return False
-    return all(
-        elements.strict_equal(f.cell(e, h), g.cell(e, h), tol)
-        for e in f.parameters
-        for h in f.universe
+    return _same_names(f, g) and all(
+        pairs_strict_equal(cell, g.pairs[key], tol) for key, cell in f.pairs.items()
     )
 
 
@@ -281,10 +289,44 @@ def soft_equivalent(
     f: IVHFSoftSet, g: IVHFSoftSet, tol: float = DEFAULT_TOLERANCE
 ) -> bool:
     """Same parameters and cellwise dedup equivalence."""
-    if set(f.parameters) != set(g.parameters) or set(f.universe) != set(g.universe):
-        return False
-    return all(
-        elements.equivalent(f.cell(e, h), g.cell(e, h), tol)
-        for e in f.parameters
-        for h in f.universe
+    return _same_names(f, g) and all(
+        pairs_equivalent(cell, g.pairs[key], tol) for key, cell in f.pairs.items()
     )
+
+
+# --- ranking ---
+
+
+def score_table(soft_set: IVHFSoftSet) -> dict:
+    """The score interval of every cell, as [lower, upper], by parameter and object."""
+    return {
+        e: {h: list(kernels.score_element(soft_set.pairs[(e, h)])) for h in soft_set.universe}
+        for e in soft_set.parameters
+    }
+
+
+def mean_scores(soft_set: IVHFSoftSet) -> dict[str, UnitInterval]:
+    """Mean of the per-parameter score intervals, per object."""
+    out = {}
+    n = len(soft_set.parameters)
+    for h in soft_set.universe:
+        scores = [score(soft_set.cell(e, h)) for e in soft_set.parameters]
+        out[h] = UnitInterval(sum(s.lower for s in scores) / n, sum(s.upper for s in scores) / n)
+    return out
+
+
+def rank_objects(soft_set: IVHFSoftSet) -> list[dict]:
+    """Best-first groups of objects; a group holds rank ties."""
+    means = mean_scores(soft_set)
+    ordered = sorted(soft_set.universe, key=lambda h: rank_key(means[h]), reverse=True)
+    groups: list[dict] = []
+    for h in ordered:
+        if groups:
+            prev = groups[-1]["objects"][0]
+            if rank_compare(means[h], means[prev]).verdict is Verdict.EQUAL:
+                groups[-1]["objects"].append(h)
+                continue
+        groups.append({"rank": len(groups) + 1, "objects": [h]})
+    for g in groups:
+        g["mean_score"] = [means[g["objects"][0]].lower, means[g["objects"][0]].upper]
+    return groups

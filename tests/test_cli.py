@@ -245,3 +245,39 @@ class TestCheckLaws:
         )
         assert code == 2
         assert err.startswith("error: cannot write")
+
+
+# one argv per subcommand; "{}" stands for the first input document
+SUBCOMMANDS = {
+    "union": ["union", "{}", FA],
+    "intersect": ["intersect", "{}", FA],
+    "complement": ["complement", "{}"],
+    "ringsum": ["ringsum", "{}", FA],
+    "ringprod": ["ringprod", "{}", FA],
+    "subset": ["subset", "{}", FA],
+    "elem-op": ["elem-op", "--kind", "o1", "{}", FA],
+    "score": ["score", "{}"],
+    "rank": ["rank", "{}"],
+    "family-union": ["family-union", "{}", FA],
+    "family-intersect": ["family-intersect", "{}", FA],
+    "check-laws": ["check-laws", "--trials", "1", "--grid-step", "1"],
+}
+
+
+class TestExitCodeMatrix:
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_exit_codes(self, tmp_path, capsys, command):
+        def argv(path):
+            return [str(path) if a == "{}" else a for a in SUBCOMMANDS[command]]
+
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text('{"universe": [')
+        cases = [(argv(FA) + ["--no-such-flag"], 1), ([command, "--help"], 0)]
+        if command == "check-laws":
+            cases.append((["check-laws", "--trials", "x"], 1))
+        else:
+            cases += [(argv(tmp_path / "missing.json"), 2), (argv(malformed), 2)]
+        for args, want in cases:
+            code, _, err = run(capsys, *args)
+            assert code == want, args
+            assert "Traceback" not in err, args

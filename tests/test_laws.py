@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from ivhfss.laws import CheckConfig, check_law, registry, replay, run_suite, suite_to_json
-from ivhfss.laws.checker import _to_public_element, _to_public_soft
-from ivhfss.laws.evaluate import RawSoft
+from ivhfss.errors import BudgetExceeded
+from ivhfss.laws import CheckConfig, check_law, generators, registry, replay, run_suite, suite_to_json
 
 LAWS = {law.law_id: law for law in registry()}
 
@@ -139,40 +138,57 @@ class TestDeterminism:
             CheckConfig(grid_step=step)
 
 
-class TestBridging:
-    def test_raw_and_public_soft_ops_agree(self):
-        # the fast layer must match the public API cell for cell
+class TestEnumerationBudget:
+    @pytest.mark.parametrize("step,size", [(0.25, 2), (0.5, 3), (1.0, 3), (0.1, 2)])
+    def test_count_matches_grid(self, step, size):
+        assert generators.grid_element_count(step, size) == len(generators.grid_elements(step, size))
+
+    @pytest.fixture
+    def no_grid(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(generators, "grid_elements", refuse)
+        monkeypatch.setattr(generators, "grid_intervals", refuse)
+
+    @pytest.mark.parametrize("law_id", ["P2.12.i", "P3.5.i"])  # element, one-operand soft
+    def test_fine_step_is_refused_before_any_element_is_built(self, no_grid, law_id):
+        # 13,274,127 elements at step 0.01
+        with pytest.raises(BudgetExceeded):
+            check_law(get(law_id), CheckConfig(grid_step=0.01, random_trials=1))
+
+    def test_tiny_step_skips_the_grid_when_partial(self, no_grid):
+        config = CheckConfig(grid_step=1e-300, random_trials=1)
+        assert check_law(get("P2.12.i"), config, allow_partial=True).trials_run == 1
+
+
+class TestOneAlgebra:
+    def test_sorted_sequence_ops_equal_public_aligned(self):
+        # the sequence regime is the aligned one without the final re-sort
         import random
 
-        from ivhfss import soft_union, soft_intersection
-        from ivhfss.laws import evaluate as ev
+        from ivhfss import _kernels_py as kernels
+        from ivhfss import soft_intersection, soft_union
+        from ivhfss.laws.evaluate import SequenceSoftSets
         from ivhfss.laws.generators import random_soft
 
+        sequence = SequenceSoftSets()
         rng = random.Random(7)
         for _ in range(50):
             f = random_soft(rng, ("e1", "e2"), ("h1", "h2"), 0.25, 2, rng.random() < 0.5)
             g = random_soft(rng, ("e2", "e3"), ("h1", "h2"), 0.25, 2, rng.random() < 0.5)
-            for mode in ("aligned", "pairwise"):
-                raw = ev.SoftSets(mode).union(f, g)
-                pub = soft_union(
-                    _to_public_soft(f),
-                    _to_public_soft(g),
-                    mode=__import__("ivhfss").CombineMode(mode),
-                )
-                assert set(raw.params) == set(pub.parameters)
-                for e in raw.params:
-                    for h in raw.universe:
-                        assert raw.cell(e, h) == pub.cell(e, h).as_tuples()
-                raw_i = ev.SoftSets(mode).intersection(f, g)
-                pub_i = soft_intersection(
-                    _to_public_soft(f),
-                    _to_public_soft(g),
-                    mode=__import__("ivhfss").CombineMode(mode),
-                )
-                for e in raw_i.params:
-                    for h in raw_i.universe:
-                        assert raw_i.cell(e, h) == pub_i.cell(e, h).as_tuples()
+            for regime, public in (
+                (sequence.union, soft_union),
+                (sequence.intersection, soft_intersection),
+            ):
+                got, want = regime(f, g), public(f, g)
+                assert got.parameters == want.parameters
+                assert {k: kernels.sort_element(v) for k, v in got.pairs.items()} == want.pairs
 
-    def test_public_element_conversion(self):
-        mu = _to_public_element(((0.5, 0.6), (0.1, 0.9)))
+    def test_element_canonicalization(self):
+        from ivhfss import canonicalize, construct_interval, element_of
+
+        mu = element_of((0.5, 0.6), (0.1, 0.9))
         assert mu.as_tuples() == ((0.1, 0.9), (0.5, 0.6))
+        assert canonicalize([construct_interval(0.5, 0.6), construct_interval(0.1, 0.9)]) == mu
+        assert [iv.as_tuple() for iv in mu.intervals] == list(mu.as_tuples())
