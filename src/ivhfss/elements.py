@@ -50,7 +50,10 @@ class IVHFE:
     """Nonempty multiset of unit intervals in canonical ascending order.
 
     The members are stored as the (lower, upper) float pairs the kernels work
-    on; ``intervals`` builds UnitIntervals from them on each read.
+    on; ``intervals`` builds UnitIntervals from them on each read.  The
+    constructor trusts its pairs to be valid intervals in rank order, as every
+    operation result is built with it; ``element_of`` and ``canonicalize``
+    are the validating paths for outside data.
     """
 
     pairs: tuple[tuple[float, float], ...]

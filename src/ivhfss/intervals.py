@@ -21,7 +21,11 @@ OPERATOR_KINDS = ("O1", "O2", "O3", "O4")
 
 @dataclass(frozen=True, slots=True)
 class UnitInterval:
-    """A closed interval [lower, upper] within [0, 1]."""
+    """A closed interval [lower, upper] within [0, 1].
+
+    The constructor trusts its input, as every operation result is built
+    with it; ``construct_interval`` is the validating path for outside data.
+    """
 
     lower: float
     upper: float

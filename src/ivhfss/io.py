@@ -8,20 +8,28 @@ Document shape::
       "values": {"e1": {"h1": [[0.3, 0.8]], ...}, ...}
     }
 
+This module is the only code that knows the layout, in both directions.  CLI
+inputs and the law checker's stored counterexamples are decoded by the same
+``decode_soft_set`` (element operands by ``decode_cell``), so both pass the
+same validation.
+
 Serialization is canonical: parameters and objects in declared order,
-intervals in ascending rank order, numbers rendered with up to 12
-significant digits.  parse(serialize(x)) reproduces the bytes exactly.
+numbers rendered with up to 12 significant digits, and each cell's intervals
+in the rank order of their printed values.  parse(serialize(x)) reproduces
+the bytes exactly: a printed number reads back as a value that prints the
+same, and the parser sorts those values into the order they were written in.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 
-from .elements import IVHFE, canonicalize
+from . import _kernels_py as kernels
 from .errors import ParseError, SchemaError
-from .intervals import UnitInterval, construct_interval
-from .softsets import IVHFSoftSet, make_soft_set
+from .intervals import construct_interval
+from .softsets import IVHFSoftSet
 
 
 class CanonicalizationWarning(UserWarning):
@@ -33,46 +41,34 @@ def _expect(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
-def _parse_cell(parameter: str, obj: str, raw) -> IVHFE:
-    _expect(
-        isinstance(raw, list) and raw,
-        f"cell {parameter}/{obj}: expected a nonempty list of [lower, upper] pairs",
-    )
-    intervals: list[UnitInterval] = []
+def decode_cell(raw, label: str) -> tuple[tuple[float, float], ...]:
+    """One element's validated (lower, upper) pairs, sorted; ``label`` names it in messages."""
+    _expect(isinstance(raw, list) and raw, f"{label}: expected a nonempty list of [lower, upper] pairs")
+    pairs = []
     for pair in raw:
         _expect(
             isinstance(pair, list)
             and len(pair) == 2
             and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair),
-            f"cell {parameter}/{obj}: malformed interval {pair!r}",
+            f"{label}: malformed interval {pair!r}",
         )
         try:
-            intervals.append(construct_interval(float(pair[0]), float(pair[1])))
+            interval = construct_interval(float(pair[0]), float(pair[1]))
         except (ValueError, OverflowError) as exc:
-            raise SchemaError(f"cell {parameter}/{obj}: {exc}") from exc
-    element = canonicalize(intervals)
-    if element.as_tuples() != tuple((iv.lower, iv.upper) for iv in intervals):
+            raise SchemaError(f"{label}: {exc}") from exc
+        pairs.append((interval.lower, interval.upper))
+    ordered = kernels.sort_element(pairs)
+    if ordered != tuple(pairs):
         warnings.warn(
-            f"cell {parameter}/{obj}: intervals were not in canonical order; sorted on load",
+            f"{label}: intervals were not in canonical order; sorted on load",
             CanonicalizationWarning,
             stacklevel=3,
         )
-    return element
+    return ordered
 
 
-def parse_document(text: str | bytes) -> IVHFSoftSet:
-    """Decode, validate, and canonicalize a soft-set document."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except RecursionError as exc:
-        raise ParseError("malformed JSON: nested too deeply") from exc
-    except ValueError as exc:  # also an integer beyond int()'s digit limit
-        raise ParseError(f"malformed JSON: {exc}") from exc
+def decode_soft_set(doc) -> IVHFSoftSet:
+    """Validate a decoded JSON document and build its soft set."""
     _expect(isinstance(doc, dict), "top level must be an object")
     for key in ("universe", "parameters", "values"):
         _expect(key in doc, f"missing key {key!r}")
@@ -94,7 +90,7 @@ def parse_document(text: str | bytes) -> IVHFSoftSet:
         set(values) == set(parameters),
         f"values keys {sorted(values)} must equal parameters {sorted(parameters)}",
     )
-    cells: dict[str, dict[str, IVHFE]] = {}
+    pairs = {}
     for e in parameters:
         row = values[e]
         _expect(isinstance(row, dict), f"values[{e!r}] must be an object")
@@ -102,11 +98,37 @@ def parse_document(text: str | bytes) -> IVHFSoftSet:
             set(row) == set(universe),
             f"values[{e!r}] keys {sorted(row)} must equal universe {sorted(universe)}",
         )
-        cells[e] = {h: _parse_cell(e, h, row[h]) for h in universe}
+        for h in universe:
+            pairs[(e, h)] = decode_cell(row[h], f"cell {e}/{h}")
+    return IVHFSoftSet(tuple(universe), tuple(parameters), pairs)
+
+
+def parse_document(text: str | bytes) -> IVHFSoftSet:
+    """Decode, validate, and canonicalize a soft-set document."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8: {exc}") from exc
     try:
-        return make_soft_set(universe, parameters, cells)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise ParseError("malformed JSON: nested too deeply") from exc
+    except ValueError as exc:  # also an integer beyond int()'s digit limit
+        raise ParseError(f"malformed JSON: {exc}") from exc
+    return decode_soft_set(doc)
+
+
+def encode_soft_set(soft_set: IVHFSoftSet) -> dict:
+    """The document of a soft set as a JSON-ready dict, numbers exact."""
+    return {
+        "universe": list(soft_set.universe),
+        "parameters": list(soft_set.parameters),
+        "values": {
+            e: {h: [list(iv) for iv in soft_set.pairs[(e, h)]] for h in soft_set.universe}
+            for e in soft_set.parameters
+        },
+    }
 
 
 def _render_number(x: float) -> str:
@@ -114,6 +136,32 @@ def _render_number(x: float) -> str:
     if x == int(x):
         return str(int(x))
     return format(x, ".12g")
+
+
+def _cell_text(cell) -> str:
+    """A rank-ordered cell as printed, in the rank order of its printed values.
+
+    That is the order the parser reads the text back in.  Printing moves an
+    endpoint by at most half a unit in the 12th digit, so only a run of
+    neighbours whose raw sums lie within ``kernels._NEAR_TIE`` of each other
+    can change order, and only if some of its values do not print exactly;
+    such a run is sorted by its printed values.
+    """
+    texts = [f"[{_render_number(lo)}, {_render_number(up)}]" for lo, up in cell]
+    gaps = [(b0 + b1) - (a0 + a1) for (a0, a1), (b0, b1) in zip(cell, cell[1:])]
+    if gaps and min(gaps) <= kernels._NEAR_TIE:
+        start = 0
+        for i, gap in enumerate(gaps + [math.inf]):
+            if gap <= kernels._NEAR_TIE:
+                continue
+            if i > start:  # intervals start..i are a run of near ties
+                run = [(float(_render_number(lo)), float(_render_number(up))) for lo, up in cell[start : i + 1]]
+                if run != list(cell[start : i + 1]):
+                    texts[start : i + 1] = [
+                        f"[{_render_number(lo)}, {_render_number(up)}]" for lo, up in kernels.sort_element(run)
+                    ]
+            start = i + 1
+    return ", ".join(texts)
 
 
 def serialize_document(soft_set: IVHFSoftSet) -> str:
@@ -129,12 +177,8 @@ def serialize_document(soft_set: IVHFSoftSet) -> str:
     for i, e in enumerate(soft_set.parameters):
         out.append(f"    {json.dumps(e)}: {{\n")
         for j, h in enumerate(soft_set.universe):
-            rendered = ", ".join(
-                f"[{_render_number(lo)}, {_render_number(up)}]"
-                for lo, up in soft_set.pairs[(e, h)]
-            )
             comma = "," if j + 1 < len(soft_set.universe) else ""
-            out.append(f"      {json.dumps(h)}: [{rendered}]{comma}\n")
+            out.append(f"      {json.dumps(h)}: [{_cell_text(soft_set.pairs[(e, h)])}]{comma}\n")
         comma = "," if i + 1 < len(soft_set.parameters) else ""
         out.append(f"    }}{comma}\n")
     out.append("  }\n}\n")

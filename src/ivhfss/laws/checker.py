@@ -14,7 +14,8 @@ exhaustive grid stream (where the law's arity allows one), then seeded
 random trials.  The first operand tuple that violates the law both in the
 registered regime and through the public API is shrunk to a locally minimal
 counterexample and reported; reports are therefore self-validating by
-construction.
+construction.  ``replay`` decodes stored operands with :mod:`ivhfss.io`, so
+they pass the same validation as CLI inputs.
 """
 
 from __future__ import annotations
@@ -24,26 +25,29 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .. import elements as E
+from .. import io
 from .. import softsets as S
 from .. import _kernels_py as kernels
-from ..errors import BudgetExceeded
+from ..errors import BudgetExceeded, SchemaError
 from ..elements import IVHFE
 from ..softsets import IVHFSoftSet
 from . import generators as gen
 from .registry import Law, registry
 
 ENUMERATION_CAP = 300_000
+_FAMILY_LAWS = ("P3.16", "P3.17")  # their random and stored operands number 1 to arity
+# the operand shapes searched, and the slack of every comparison
+MAX_ELEMENT_SIZE = 2
+MAX_PARAMETERS = 2
+MAX_OBJECTS = 2
+TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
 class CheckConfig:
     grid_step: float = 0.25
-    max_element_size: int = 2
-    max_parameters: int = 2
-    max_objects: int = 2
     random_trials: int = 10000
     seed: int = 52417
-    tolerance: float = 1e-12
 
     def __post_init__(self):
         if not (0.0 < self.grid_step <= 1.0):
@@ -52,9 +56,8 @@ class CheckConfig:
         last = round(round(1.0 / self.grid_step) * self.grid_step, 12)
         if last != 1.0:
             raise ValueError(f"grid_step {self.grid_step} does not divide [0,1]: its grid ends at {last}")
-        for name in ("max_element_size", "max_parameters", "max_objects", "random_trials"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if self.random_trials < 1:
+            raise ValueError("random_trials must be >= 1")
 
 
 @dataclass
@@ -135,13 +138,13 @@ def _over_cap(law: Law, total: int, what: str) -> None:
 
 
 def _element_enumeration(law: Law, config: CheckConfig) -> tuple[Iterable, bool]:
-    count = gen.grid_element_count(config.grid_step, config.max_element_size)
+    count = gen.grid_element_count(config.grid_step, MAX_ELEMENT_SIZE)
     if law.arity == 2:
         _over_cap(law, count**2, "pairs")
-        elems = gen.grid_elements(config.grid_step, config.max_element_size)
+        elems = gen.grid_elements(config.grid_step, MAX_ELEMENT_SIZE)
         return itertools.product(elems, elems), True
     _over_cap(law, gen.grid_element_count(config.grid_step, 1) ** 2 * count, "triples")
-    elems = gen.grid_elements(config.grid_step, config.max_element_size)
+    elems = gen.grid_elements(config.grid_step, MAX_ELEMENT_SIZE)
     singles = [e for e in elems if e.size == 1]
     return itertools.product(singles, singles, elems), False
 
@@ -149,11 +152,11 @@ def _element_enumeration(law: Law, config: CheckConfig) -> tuple[Iterable, bool]
 def _soft_enumeration(law: Law, config: CheckConfig) -> tuple[Iterable, bool]:
     if law.arity > 2:
         return (), False
-    count = gen.grid_element_count(config.grid_step, config.max_element_size)
+    count = gen.grid_element_count(config.grid_step, MAX_ELEMENT_SIZE)
     _over_cap(law, count**law.arity, "pairs" if law.arity == 2 else "elements")
     softs = [
         IVHFSoftSet(("h1",), ("e1",), {("e1", "h1"): e.pairs})
-        for e in gen.grid_elements(config.grid_step, config.max_element_size)
+        for e in gen.grid_elements(config.grid_step, MAX_ELEMENT_SIZE)
     ]
     return itertools.product(softs, repeat=law.arity), False
 
@@ -165,21 +168,21 @@ def _random_stream(law: Law, config: CheckConfig) -> Iterator:
         snap = rng.random() < 0.5
         if law.level == "element":
             ops = tuple(
-                gen.random_element(rng, config.grid_step, config.max_element_size, snap)
+                gen.random_element(rng, config.grid_step, MAX_ELEMENT_SIZE, snap)
                 for _ in range(law.arity)
             )
             produced += 1
             yield ops
             continue
-        count = rng.randint(1, 3) if law.law_id.startswith(("P3.16", "P3.17")) else law.arity
-        universe = tuple(f"h{i + 1}" for i in range(rng.randint(1, config.max_objects)))
+        count = rng.randint(1, law.arity) if law.law_id.startswith(_FAMILY_LAWS) else law.arity
+        universe = tuple(f"h{i + 1}" for i in range(rng.randint(1, MAX_OBJECTS)))
         ops = None
         for _ in range(50):
             param_sets = gen.random_param_sets(
-                rng, count, config.max_parameters, law.parameter_mode == "shared"
+                rng, count, MAX_PARAMETERS, law.parameter_mode == "shared"
             )
             candidate = tuple(
-                gen.random_soft(rng, ps, universe, config.grid_step, config.max_element_size, snap)
+                gen.random_soft(rng, ps, universe, config.grid_step, MAX_ELEMENT_SIZE, snap)
                 for ps in param_sets
             )
             if _valid(law, candidate):
@@ -271,7 +274,7 @@ def _shrink(law: Law, ops, config: CheckConfig) -> tuple[tuple, int]:
             else _shrink_candidates_soft(ops, config.grid_step)
         )
         for cand in candidates:
-            if not _valid(law, cand) or not _violates(law, cand, config.tolerance):
+            if not _valid(law, cand) or not _violates(law, cand, TOLERANCE):
                 continue
             ops = cand
             steps += 1
@@ -281,17 +284,6 @@ def _shrink(law: Law, ops, config: CheckConfig) -> tuple[tuple, int]:
 
 
 # --- serialization ---
-
-
-def _soft_json(soft: IVHFSoftSet) -> dict:
-    return {
-        "universe": list(soft.universe),
-        "parameters": list(soft.parameters),
-        "values": {
-            e: {h: [list(iv) for iv in soft.pairs[(e, h)]] for h in soft.universe}
-            for e in soft.parameters
-        },
-    }
 
 
 def _counterexample_json(law: Law, ops) -> dict:
@@ -308,28 +300,33 @@ def _counterexample_json(law: Law, ops) -> dict:
             "rhs": [list(iv) for iv in canonical(rhs)],
         }
     return {
-        "operands": [_soft_json(o) for o in ops],
-        "lhs": _soft_json(lhs),
-        "rhs": _soft_json(rhs),
+        "operands": [io.encode_soft_set(o) for o in ops],
+        "lhs": io.encode_soft_set(lhs),
+        "rhs": io.encode_soft_set(rhs),
     }
 
 
-def _operands_from_json(law: Law, counterexample: dict):
-    if law.level == "element":
-        return tuple(E.element_of(*op) for op in counterexample["operands"])
-    return tuple(
-        S.make_soft_set(
-            doc["universe"],
-            doc["parameters"],
-            {e: {h: E.element_of(*cell) for h, cell in row.items()} for e, row in doc["values"].items()},
-        )
-        for doc in counterexample["operands"]
-    )
+def _operands_from_json(law: Law, counterexample: dict) -> tuple:
+    """The stored operands, validated by io as any input document is."""
+    stored = counterexample.get("operands") if isinstance(counterexample, dict) else None
+    counts = range(1, law.arity + 1) if law.law_id.startswith(_FAMILY_LAWS) else (law.arity,)
+    if not isinstance(stored, list) or len(stored) not in counts:
+        raise SchemaError(f"a counterexample of {law.law_id} needs a list of {' or '.join(map(str, counts))} operands")
+    ops = []
+    for i, op in enumerate(stored, 1):
+        try:
+            ops.append(IVHFE(io.decode_cell(op, "element")) if law.level == "element" else io.decode_soft_set(op))
+        except SchemaError as exc:
+            raise SchemaError(f"operand {i}: {exc}") from exc
+    return tuple(ops)
 
 
-def replay(law: Law, counterexample: dict, tolerance: float = 1e-12) -> bool:
-    """True when the stored counterexample still violates via the public API."""
-    return _public_violates(law, _operands_from_json(law, counterexample), tolerance)
+def replay(law: Law, counterexample: dict) -> bool:
+    """True when the stored counterexample still violates via the public API.
+
+    A malformed counterexample raises ``SchemaError``.
+    """
+    return _public_violates(law, _operands_from_json(law, counterexample), TOLERANCE)
 
 
 # --- driving ---
@@ -362,7 +359,7 @@ def check_law(law: Law, config: CheckConfig | None = None, allow_partial: bool =
         if not _valid(law, ops):
             continue
         trials += 1
-        if _violates(law, ops, config.tolerance):
+        if _violates(law, ops, TOLERANCE):
             shrunk, steps = _shrink(law, ops, config)
             return LawReport(
                 law_id=law.law_id,

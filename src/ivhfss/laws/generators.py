@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement
 
 from .. import _kernels_py as kernels
 from ..elements import IVHFE, element_of
-from ..softsets import IVHFSoftSet, make_soft_set
+from ..softsets import IVHFSoftSet, common_parameters, make_soft_set
 
 
 def rng_for(seed: int, law_id: str) -> random.Random:
@@ -150,15 +150,8 @@ def restrict(soft: IVHFSoftSet, params) -> IVHFSoftSet:
     return IVHFSoftSet(soft.universe, keep, pairs)
 
 
-def _common(ops):
-    acc = set(ops[0].parameters)
-    for o in ops[1:]:
-        acc &= set(o.parameters)
-    return tuple(sorted(acc))
-
-
 def _as_shared(ops):
-    shared = _common(ops)
+    shared = tuple(sorted(common_parameters(ops)))
     return tuple(restrict(o, shared) for o in ops) if shared else None
 
 

@@ -32,6 +32,7 @@ what reported counterexamples are validated against.  For ``aligned`` and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -166,14 +167,10 @@ def _law(
 
 
 def _inter_nonempty(*groups):
+    picks = [operator.itemgetter(*idxs) for idxs in groups]  # every group has 2+ indices
+
     def check(ops: Sequence[S.IVHFSoftSet]):
-        for idxs in groups:
-            acc = set(ops[idxs[0]].parameters)
-            for i in idxs[1:]:
-                acc &= set(ops[i].parameters)
-            if not acc:
-                return False
-        return True
+        return all(S.common_parameters(pick(ops)) for pick in picks)
 
     return check
 
@@ -340,10 +337,7 @@ def _distrib(prop: str, i: str, parameter_mode: str, mode: str, equality: str) -
 
 
 def _common_parameter(ops) -> bool:
-    acc = set(ops[0].parameters)
-    for o in ops[1:]:
-        acc &= set(o.parameters)
-    return bool(acc)
+    return bool(S.common_parameters(ops))
 
 
 def _family(prop: str, i: str, parameter_mode: str, equality: str) -> Law:

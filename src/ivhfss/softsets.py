@@ -42,7 +42,10 @@ class IVHFSoftSet:
     """Universe, parameter list, and the (parameter, object) -> cell table.
 
     Each cell is stored as its element's (lower, upper) pairs; ``cell`` builds
-    the IVHFE view of one.  No operation modifies a soft set it is given.
+    the IVHFE view of one.  No operation modifies a soft set it is given.  The
+    constructor trusts its names and cells, as every operation result is built
+    with it; ``make_soft_set`` and, for documents, ``ivhfss.io`` are the
+    validating paths for outside data.
     """
 
     universe: tuple[str, ...]
@@ -235,6 +238,14 @@ def soft_apply_operator(kind: str, f: IVHFSoftSet, g: IVHFSoftSet) -> IVHFSoftSe
     return intersection_rule(f, g, lambda a, b: kernels.operator_element(kind, a, b))
 
 
+def common_parameters(members: Sequence[IVHFSoftSet]) -> set[str]:
+    """The parameters every member of a nonempty family has."""
+    shared = set(members[0].parameters)
+    for m in members[1:]:
+        shared.intersection_update(m.parameters)
+    return shared
+
+
 def family_union(
     members: Iterable[IVHFSoftSet],
     policy: AlignmentPolicy = AlignmentPolicy.OPTIMISTIC,
@@ -259,10 +270,7 @@ def family_intersection(
     members = list(members)
     if not members:
         raise EmptyFamily("family intersection needs at least one member")
-    shared = set(members[0].parameters)
-    for m in members[1:]:
-        shared &= set(m.parameters)
-    if not shared:
+    if not common_parameters(members):
         raise EmptyParameterIntersection("family has no common parameter")
     acc = members[0]
     for m in members[1:]:

@@ -5,7 +5,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ivhfss import parse_document, serialize_document
 from ivhfss.errors import IvhfssError, ParseError, SchemaError
@@ -137,12 +137,25 @@ class TestRoundTrip:
             ),
             min_size=1,
             max_size=4,
-        )
+        ),
+        st.lists(
+            st.tuples(st.floats(min_value=-1e-11, max_value=1e-11), st.floats(min_value=-1e-12, max_value=1e-12)),
+            max_size=3,
+        ),
     )
-    def test_canonical_rendering_is_stable(self, pairs):
-        values = {"e1": {"h1": [sorted(p) for p in pairs]}}
+    # sums 2e-13 apart: the exact values and the printed ones rank these two in opposite orders
+    @example([(0.2000000000014, 0.8), (0.2000000000006, 0.8000000000006)], [])
+    def test_canonical_rendering_is_stable(self, pairs, near_ties):
+        pairs = [sorted(p) for p in pairs]
+        # plant near ties: move an interval's endpoints apart by up to 1e-11
+        # each while its sum moves by at most 1e-12
+        for (lo, up), (shift, drift) in zip(list(pairs), near_ties):
+            if 0 <= lo + shift <= up - shift + drift <= 1:
+                pairs.append([lo + shift, up - shift + drift])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CanonicalizationWarning)
-            first = serialize_document(parse_document(doc(values)))
+            first = serialize_document(parse_document(doc({"e1": {"h1": pairs}})))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CanonicalizationWarning)
             second = serialize_document(parse_document(first))
         assert first == second

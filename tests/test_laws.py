@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ivhfss.errors import BudgetExceeded
+from ivhfss.errors import BudgetExceeded, SchemaError
 from ivhfss.laws import CheckConfig, check_law, generators, registry, replay, run_suite, suite_to_json
 
 LAWS = {law.law_id: law for law in registry()}
@@ -100,6 +100,21 @@ class TestCounterexamples:
         # the classic single-point refutation of ring-product absorption
         counterexample = {"operands": [[[0.5, 0.5]], [[0.0, 0.0]]]}
         assert replay(get("P4.2.iii"), counterexample)
+
+    @pytest.mark.parametrize(
+        "law_id,operands,message",
+        [
+            ("P4.2.iii", [[[0.5]], [[0.0, 0.0]]], "operand 1: element: malformed"),
+            ("P3.5.i", [{"universe": ["h1"], "parameters": ["e1"], "values": {"e1": {"h1": 5}}}], "operand 1: cell e1/h1"),
+            ("P3.5.i", [{"universe": ["h1"], "parameters": ["e1"]}], "operand 1: missing key 'values'"),
+            ("P4.2.iii", [[[0.0, 0.0]], [[0.5, 1.5]]], "operand 2: element: endpoints"),
+            ("P4.2.iii", [[[0.5, 0.5]]], "P4.2.iii needs a list of 2 operands"),
+            ("P3.16.i", [], "1 or 2 or 3 operands"),
+        ],
+    )
+    def test_malformed_counterexample_is_a_schema_error(self, law_id, operands, message):
+        with pytest.raises(SchemaError, match=message):
+            replay(get(law_id), {"operands": operands})
 
     def test_distributivity_counterexample_structure(self):
         report = check_law(get("P3.11.i"), SMALL)
