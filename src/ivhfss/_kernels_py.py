@@ -153,6 +153,11 @@ def extend_element(intervals, size, optimistic):
     return (intervals[0],) * pad + tuple(intervals)
 
 
+# The element kernels below write each scalar kernel's expression inline, in
+# the same operand order, so every result is bit-identical to calling the
+# scalar kernel per interval, without the call.
+
+
 def zip_combine(union, e1, e2, optimistic):
     """Index-wise join/meet after padding; result is NOT re-sorted."""
     n1, n2 = len(e1), len(e2)
@@ -160,8 +165,13 @@ def zip_combine(union, e1, e2, optimistic):
         e1 = extend_element(e1, n2, optimistic)
     elif n2 < n1:
         e2 = extend_element(e2, n1, optimistic)
-    k = join_kernel if union else meet_kernel
-    return tuple([k(x[0], x[1], y[0], y[1]) for x, y in zip(e1, e2)])
+    if union:  # join_kernel
+        return tuple([
+            (al if al >= bl else bl, au if au >= bu else bu) for (al, au), (bl, bu) in zip(e1, e2)
+        ])
+    return tuple([  # meet_kernel
+        (al if al <= bl else bl, au if au <= bu else bu) for (al, au), (bl, bu) in zip(e1, e2)
+    ])
 
 
 def combine_aligned(union, e1, e2, optimistic):
@@ -171,30 +181,52 @@ def combine_aligned(union, e1, e2, optimistic):
 
 def combine_pairwise(union, e1, e2):
     """All-pairs union/intersection, deduplicated and canonicalized."""
-    k = join_kernel if union else meet_kernel
-    return dedup_element([k(x[0], x[1], y[0], y[1]) for x in e1 for y in e2])
+    if union:  # join_kernel
+        return dedup_element([
+            (al if al >= bl else bl, au if au >= bu else bu) for al, au in e1 for bl, bu in e2
+        ])
+    return dedup_element([  # meet_kernel
+        (al if al <= bl else bl, au if au <= bu else bu) for al, au in e1 for bl, bu in e2
+    ])
 
 
 def complement_element(e):
-    return sort_element([complement_kernel(lo, up) for lo, up in e])
+    return sort_element([(1.0 - au, 1.0 - al) for al, au in e])  # complement_kernel
+
+
+# The all-pairs operations as un-deduplicated tuples over e1 x e2, in the
+# pair order (x0,y0), (x0,y1), ..., (x1,y0), ...
+
+
+def ring_sum_pairs(e1, e2):
+    return tuple([(al + bl - al * bl, au + bu - au * bu) for al, au in e1 for bl, bu in e2])
+
+
+def ring_product_pairs(e1, e2):
+    return tuple([(al * bl, au * bu) for al, au in e1 for bl, bu in e2])
+
+
+def operator_pairs(kind, e1, e2):
+    """``operator_kernel`` over every pair."""
+    f = _OP_SCALAR[kind]
+    out = []
+    for al, au in e1:
+        for bl, bu in e2:
+            lo, up = f(al, bl), f(au, bu)
+            out.append((up, lo) if lo > up else (lo, up))
+    return tuple(out)
 
 
 def ring_sum_element(e1, e2):
-    return dedup_element(
-        [ring_sum_kernel(x[0], x[1], y[0], y[1]) for x in e1 for y in e2]
-    )
+    return dedup_element(ring_sum_pairs(e1, e2))
 
 
 def ring_product_element(e1, e2):
-    return dedup_element(
-        [ring_product_kernel(x[0], x[1], y[0], y[1]) for x in e1 for y in e2]
-    )
+    return dedup_element(ring_product_pairs(e1, e2))
 
 
 def operator_element(kind, e1, e2):
-    return dedup_element(
-        [operator_kernel(kind, x[0], x[1], y[0], y[1]) for x in e1 for y in e2]
-    )
+    return dedup_element(operator_pairs(kind, e1, e2))
 
 
 def score_element(e):

@@ -176,9 +176,12 @@ def apply_operator(kind: str, mu1: IVHFE, mu2: IVHFE) -> IVHFE:
 
 
 def _all_close(a, b, tol: float) -> bool:
-    return len(a) == len(b) and all(
-        abs(x[0] - y[0]) <= tol and abs(x[1] - y[1]) <= tol for x, y in zip(a, b)
-    )
+    if len(a) != len(b):
+        return False
+    for (al, au), (bl, bu) in zip(a, b):
+        if not (abs(al - bl) <= tol and abs(au - bu) <= tol):
+            return False
+    return True
 
 
 def pairs_strict_equal(a, b, tol: float) -> bool:

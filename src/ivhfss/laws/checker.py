@@ -20,7 +20,9 @@ they pass the same validation as CLI inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -41,6 +43,8 @@ MAX_ELEMENT_SIZE = 2
 MAX_PARAMETERS = 2
 MAX_OBJECTS = 2
 TOLERANCE = 1e-12
+# the random universes, ("h1",) to ("h1", ..., "hN") for N = MAX_OBJECTS
+_UNIVERSES = tuple(tuple(f"h{i + 1}" for i in range(n)) for n in range(1, MAX_OBJECTS + 1))
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,8 @@ class CheckConfig:
     def __post_init__(self):
         if not (0.0 < self.grid_step <= 1.0):
             raise ValueError(f"grid_step must be in (0,1], got {self.grid_step}")
+        if 1.0 / self.grid_step == math.inf:
+            raise ValueError(f"grid_step {self.grid_step} is too small: its point count overflows a float")
         # the last point of generators.grid_intervals; short of 1.0, 1.0 is never checked
         last = round(round(1.0 / self.grid_step) * self.grid_step, 12)
         if last != 1.0:
@@ -162,37 +168,32 @@ def _soft_enumeration(law: Law, config: CheckConfig) -> tuple[Iterable, bool]:
 
 
 def _random_stream(law: Law, config: CheckConfig) -> Iterator:
+    """Seeded random operand tuples, at most one per trial; each passes ``_valid``.
+
+    A soft trial redraws parameters and cells until the tuple is valid, at
+    most 50 times, and yields nothing when all 50 are invalid.
+    """
     rng = gen.rng_for(config.seed, law.law_id)
-    produced = 0
-    while produced < config.random_trials:
-        snap = rng.random() < 0.5
-        if law.level == "element":
-            ops = tuple(
-                gen.random_element(rng, config.grid_step, MAX_ELEMENT_SIZE, snap)
-                for _ in range(law.arity)
-            )
-            produced += 1
-            yield ops
-            continue
-        count = rng.randint(1, law.arity) if law.law_id.startswith(_FAMILY_LAWS) else law.arity
-        universe = tuple(f"h{i + 1}" for i in range(rng.randint(1, MAX_OBJECTS)))
-        ops = None
+    random_, step, arity = rng.random, config.grid_step, law.arity
+    if law.level == "element":  # every element law takes any operands
+        for _ in range(config.random_trials):
+            snap = random_() < 0.5
+            yield tuple([gen.random_element(rng, step, MAX_ELEMENT_SIZE, snap) for _ in range(arity)])
+        return
+    family = law.law_id.startswith(_FAMILY_LAWS)
+    shared = law.parameter_mode == "shared"
+    for _ in range(config.random_trials):
+        snap = random_() < 0.5
+        count = 1 + gen.below(rng, arity) if family else arity
+        universe = _UNIVERSES[gen.below(rng, MAX_OBJECTS)]
         for _ in range(50):
-            param_sets = gen.random_param_sets(
-                rng, count, MAX_PARAMETERS, law.parameter_mode == "shared"
-            )
-            candidate = tuple(
-                gen.random_soft(rng, ps, universe, config.grid_step, MAX_ELEMENT_SIZE, snap)
-                for ps in param_sets
-            )
+            candidate = tuple([
+                gen.random_soft(rng, ps, universe, step, MAX_ELEMENT_SIZE, snap)
+                for ps in gen.random_param_sets(rng, count, MAX_PARAMETERS, shared)
+            ])
             if _valid(law, candidate):
-                ops = candidate
+                yield candidate
                 break
-        if ops is None:
-            produced += 1
-            continue
-        produced += 1
-        yield ops
 
 
 # --- shrinking ---
@@ -339,8 +340,10 @@ def check_law(law: Law, config: CheckConfig | None = None, allow_partial: bool =
     exhaustive = False
 
     def streams():
+        # seed and grid operands are validated here; random ones come validated
         nonlocal exhaustive
-        yield from gen.seed_instances(law.level, law.arity, law.parameter_mode)
+        valid = functools.partial(_valid, law)
+        yield from filter(valid, gen.seed_instances(law.level, law.arity, law.parameter_mode))
         try:
             enum_stream, exhaustive_flag = (
                 _element_enumeration(law, config)
@@ -352,12 +355,10 @@ def check_law(law: Law, config: CheckConfig | None = None, allow_partial: bool =
                 raise
             enum_stream, exhaustive_flag = (), False
         exhaustive = exhaustive_flag
-        yield from enum_stream
+        yield from filter(valid, enum_stream)
         yield from _random_stream(law, config)
 
     for ops in streams():
-        if not _valid(law, ops):
-            continue
         trials += 1
         if _violates(law, ops, TOLERANCE):
             shrunk, steps = _shrink(law, ops, config)

@@ -49,10 +49,10 @@ class SynchronizedElements:
         )
 
     def ring_sum(self, a: IVHFE, b: IVHFE):
-        return tuple([kernels.ring_sum_kernel(x[0], x[1], y[0], y[1]) for x in a.pairs for y in b.pairs])
+        return kernels.ring_sum_pairs(a.pairs, b.pairs)
 
     def ring_product(self, a: IVHFE, b: IVHFE):
-        return tuple([kernels.ring_product_kernel(x[0], x[1], y[0], y[1]) for x in a.pairs for y in b.pairs])
+        return kernels.ring_product_pairs(a.pairs, b.pairs)
 
     def operator(self, kind: str, a: IVHFE, b: IVHFE):
-        return tuple([kernels.operator_kernel(kind, x[0], x[1], y[0], y[1]) for x in a.pairs for y in b.pairs])
+        return kernels.operator_pairs(kind, a.pairs, b.pairs)

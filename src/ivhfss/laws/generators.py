@@ -8,6 +8,13 @@ seed instances that exercise the structurally interesting corners (absent
 parameters, forced padding, midpoint ties, duplicated intervals), and then
 random trials over bounded shapes.  Everything is a pure function of the
 configured seed.
+
+Random sizes and parameter choices are drawn straight from ``getrandbits``
+(``below``), with exactly the calls ``Random.randint`` and ``Random.sample``
+make in CPython, so the streams are the ones those methods would give, draw
+for draw, without their per-call overhead.  ``tests/test_laws.py`` checks
+that equivalence against the public methods, so a CPython change to them
+shows there.
 """
 
 from __future__ import annotations
@@ -48,21 +55,35 @@ def grid_elements(step: float, max_size: int) -> list[IVHFE]:
     return out
 
 
-def random_interval(rng: random.Random, step: float, snap: bool) -> tuple[float, float]:
-    a, b = rng.random(), rng.random()
-    if a > b:
-        a, b = b, a
-    if snap:
-        a = min(1.0, round(round(a / step) * step, 12))
-        b = min(1.0, round(round(b / step) * step, 12))
-        if a > b:
-            a, b = b, a
-    return (a, b)
+def below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for ``n >= 1``, by the same ``getrandbits`` calls.
+
+    A copy of ``Random._randbelow_with_getrandbits``: draw ``n.bit_length()``
+    bits until the value is below ``n``.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def _random_pairs(rng: random.Random, step: float, max_size: int, snap: bool) -> tuple:
-    size = rng.randint(1, max_size)
-    return kernels.sort_element([random_interval(rng, step, snap) for _ in range(size)])
+    """A random element's pairs: ``rng.randint(1, max_size)`` intervals, each
+    two ``rng.random()`` endpoints, ordered and, when ``snap``, snapped to the grid."""
+    random_ = rng.random
+    out = []
+    for _ in range(1 + below(rng, max_size)):
+        a, b = random_(), random_()
+        if a > b:
+            a, b = b, a
+        if snap:
+            a = min(1.0, round(round(a / step) * step, 12))
+            b = min(1.0, round(round(b / step) * step, 12))
+            if a > b:
+                a, b = b, a
+        out.append((a, b))
+    return kernels.sort_element(out)
 
 
 def random_element(rng: random.Random, step: float, max_size: int, snap: bool) -> IVHFE:
@@ -85,19 +106,30 @@ def random_soft(
     return IVHFSoftSet(universe, params, pairs)
 
 
+def _random_names(rng: random.Random, pool: tuple[str, ...]) -> tuple[str, ...]:
+    """``sorted(rng.sample(pool, rng.randint(1, len(pool))))`` as a tuple.
+
+    ``sample`` keeps a list of the names not yet chosen when the pool has at
+    most 21 names, as every pool here does; this is that path.
+    """
+    n = len(pool)
+    left = list(pool)
+    chosen = []
+    for i in range(1 + below(rng, n)):
+        j = below(rng, n - i)
+        chosen.append(left[j])
+        left[j] = left[n - i - 1]
+    chosen.sort()
+    return tuple(chosen)
+
+
 def random_param_sets(
     rng: random.Random, count: int, max_parameters: int, shared: bool
 ) -> list[tuple[str, ...]]:
     pool = tuple(f"e{i + 1}" for i in range(max_parameters))
     if shared:
-        size = rng.randint(1, len(pool))
-        chosen = tuple(sorted(rng.sample(pool, size)))
-        return [chosen] * count
-    out = []
-    for _ in range(count):
-        size = rng.randint(1, len(pool))
-        out.append(tuple(sorted(rng.sample(pool, size))))
-    return out
+        return [_random_names(rng, pool)] * count
+    return [_random_names(rng, pool) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------

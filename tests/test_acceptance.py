@@ -172,6 +172,15 @@ class TestAcceptance:
             "4f574ada7146cacac2ac70cc7eb91ec2ebcda688895dd5093a0a03e9a32a1e9a"
         )
 
+    def test_second_seed_report_bytes_pinned(self):
+        # guards the random stream on a seed other than the default
+        reports = run_suite(CheckConfig(grid_step=0.5, random_trials=300, seed=9001))
+        payload = json.dumps(suite_to_json(reports), sort_keys=True).encode()
+        assert len(payload) == 12898
+        assert hashlib.sha256(payload).hexdigest() == (
+            "2ad3a1f4d43e33cc8d42888b9b2f32824162320cfd2875ef131927b2fceafcb6"
+        )
+
     def test_criterion_7_property_suites(self, capsys):
         quarter = grid_intervals(0.25)
         for a, b in product(quarter, repeat=2):

@@ -230,7 +230,14 @@ class TestCheckLaws:
             assert {"law_id", "status", "trials_run", "equality_used"} <= set(d)
 
     @pytest.mark.parametrize(
-        "flag", [("--trials", "0"), ("--grid-step", "0"), ("--grid-step", "0.3")]
+        "flag",
+        [
+            ("--trials", "0"),
+            ("--grid-step", "0"),
+            ("--grid-step", "0.3"),
+            ("--grid-step", "1e-310"),
+            ("--grid-step", "5e-324"),
+        ],
     )
     def test_invalid_config_exits_1(self, capsys, flag):
         code, stdout, err = run(capsys, "check-laws", *flag)

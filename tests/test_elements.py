@@ -245,6 +245,11 @@ def tie_prone(draw, min_size=0, max_size=6):
     return out
 
 
+def unit_tie_prone():
+    """``tie_prone`` lists kept to endpoints in [0,1], where O4's denominator is nonzero."""
+    return tie_prone().map(lambda ivs: [iv for iv in ivs if 0.0 <= min(iv) and max(iv) <= 1.0])
+
+
 def by_rank(intervals):
     return tuple(sorted(intervals, key=lambda iv: kernels.rank_key(iv[0], iv[1])))
 
@@ -278,3 +283,37 @@ class TestCanonicalOrderKernels:
             assert repr(kernels.zip_combine(union, a, b, optimistic)) == repr(
                 pad_then_zip(union, a, b, optimistic)
             )
+
+    # Each element kernel against its composition through the scalar kernel,
+    # which is how the kernels were first written: the inlined expressions
+    # must give the same floats, -0.0 included.
+
+    @given(st.booleans(), tie_prone(), tie_prone())
+    @example(True, [(0.0, 0.5)], [(-0.0, 0.5)])
+    @example(False, [(-0.0, 0.5)], [(0.0, 0.5)])
+    def test_combine_pairwise_is_all_pairs_through_the_scalar_kernel(self, union, e1, e2):
+        k = kernels.join_kernel if union else kernels.meet_kernel
+        want = kernels.dedup_element([k(x[0], x[1], y[0], y[1]) for x in e1 for y in e2])
+        assert repr(kernels.combine_pairwise(union, e1, e2)) == repr(want)
+
+    @given(tie_prone())
+    def test_complement_element_is_the_scalar_kernel(self, e):
+        want = kernels.sort_element([kernels.complement_kernel(lo, up) for lo, up in e])
+        assert repr(kernels.complement_element(e)) == repr(want)
+
+    @given(tie_prone(), tie_prone())
+    def test_ring_elements_are_all_pairs_through_the_scalar_kernels(self, e1, e2):
+        for pairs, element, scalar in (
+            (kernels.ring_sum_pairs, kernels.ring_sum_element, kernels.ring_sum_kernel),
+            (kernels.ring_product_pairs, kernels.ring_product_element, kernels.ring_product_kernel),
+        ):
+            want = tuple(scalar(x[0], x[1], y[0], y[1]) for x in e1 for y in e2)
+            assert repr(pairs(e1, e2)) == repr(want)
+            assert repr(element(e1, e2)) == repr(kernels.dedup_element(want))
+
+    @given(st.sampled_from(["O1", "O2", "O3", "O4"]), unit_tie_prone(), unit_tie_prone())
+    @example("O1", [(0.0, 0.5)], [(-0.0, 0.5), (0.5, 0.0)])
+    def test_operator_element_is_all_pairs_through_the_scalar_kernel(self, kind, e1, e2):
+        want = tuple(kernels.operator_kernel(kind, x[0], x[1], y[0], y[1]) for x in e1 for y in e2)
+        assert repr(kernels.operator_pairs(kind, e1, e2)) == repr(want)
+        assert repr(kernels.operator_element(kind, e1, e2)) == repr(kernels.dedup_element(want))

@@ -1,11 +1,17 @@
 """Registry shape, per-law classification, determinism, and replay."""
 
+import itertools
 import json
+import random
 
 import pytest
 
+from ivhfss import _kernels_py as kernels
+from ivhfss.elements import IVHFE
 from ivhfss.errors import BudgetExceeded, SchemaError
-from ivhfss.laws import CheckConfig, check_law, generators, registry, replay, run_suite, suite_to_json
+from ivhfss.laws import CheckConfig, check_law, checker, generators, registry, replay, run_suite, suite_to_json
+from ivhfss.laws.registry import _anything
+from ivhfss.softsets import IVHFSoftSet
 
 LAWS = {law.law_id: law for law in registry()}
 
@@ -41,6 +47,11 @@ class TestRegistry:
     )
     def test_per_group_counts(self, prefix, count):
         assert sum(1 for i in LAWS if i.startswith(prefix)) == count
+
+    def test_element_laws_take_any_operands(self):
+        # check_law does not re-validate random operands, and the random
+        # stream validates soft operands only
+        assert all(law.constraint is _anything for law in LAWS.values() if law.level == "element")
 
     def test_registered_predicates(self):
         assert get("P3.6.i").equality == "strict"
@@ -149,6 +160,9 @@ class TestDeterminism:
             CheckConfig(random_trials=0)
         with pytest.raises(ValueError):
             CheckConfig(grid_step=0.3)  # the grid would stop at 0.9
+        for step in (1e-310, 5e-324):  # 1/step overflows to inf
+            with pytest.raises(ValueError, match="too small"):
+                CheckConfig(grid_step=step)
         for step in (0.1, 0.2, 1 / 3, 1.0):
             CheckConfig(grid_step=step)
 
@@ -207,3 +221,98 @@ class TestOneAlgebra:
         assert mu.as_tuples() == ((0.1, 0.9), (0.5, 0.6))
         assert canonicalize([construct_interval(0.5, 0.6), construct_interval(0.1, 0.9)]) == mu
         assert [iv.as_tuple() for iv in mu.intervals] == list(mu.as_tuples())
+
+
+# The random stream as it was first written, with the public Random methods
+# (randint, sample, random).  The generators draw from getrandbits directly;
+# these oracles pin that they make exactly the same draws.
+
+_rng_for = generators.rng_for
+
+
+def _oracle_pairs(rng, step, max_size, snap):
+    def interval():
+        a, b = rng.random(), rng.random()
+        if a > b:
+            a, b = b, a
+        if snap:
+            a = min(1.0, round(round(a / step) * step, 12))
+            b = min(1.0, round(round(b / step) * step, 12))
+            if a > b:
+                a, b = b, a
+        return (a, b)
+
+    size = rng.randint(1, max_size)
+    return kernels.sort_element([interval() for _ in range(size)])
+
+
+def _oracle_param_sets(rng, count, max_parameters, shared):
+    pool = tuple(f"e{i + 1}" for i in range(max_parameters))
+    if shared:
+        size = rng.randint(1, len(pool))
+        chosen = tuple(sorted(rng.sample(pool, size)))
+        return [chosen] * count
+    out = []
+    for _ in range(count):
+        size = rng.randint(1, len(pool))
+        out.append(tuple(sorted(rng.sample(pool, size))))
+    return out
+
+
+def _oracle_stream(law, rng, step):
+    max_size, max_parameters, max_objects = checker.MAX_ELEMENT_SIZE, checker.MAX_PARAMETERS, checker.MAX_OBJECTS
+    while True:
+        snap = rng.random() < 0.5
+        if law.level == "element":
+            yield tuple(IVHFE(_oracle_pairs(rng, step, max_size, snap)) for _ in range(law.arity))
+            continue
+        count = rng.randint(1, law.arity) if law.law_id.startswith(("P3.16", "P3.17")) else law.arity
+        universe = tuple(f"h{i + 1}" for i in range(rng.randint(1, max_objects)))
+        for _ in range(50):
+            param_sets = _oracle_param_sets(rng, count, max_parameters, law.parameter_mode == "shared")
+            candidate = tuple(
+                IVHFSoftSet(
+                    universe,
+                    ps,
+                    {(e, h): _oracle_pairs(rng, step, max_size, snap) for e in ps for h in universe},
+                )
+                for ps in param_sets
+            )
+            if checker._valid(law, candidate):
+                yield candidate
+                break
+
+
+def _exact(ops):
+    # repr tells -0.0 from 0.0; the cell order of a soft set is compared too
+    return repr([
+        o.pairs if isinstance(o, IVHFE) else (o.universe, o.parameters, list(o.pairs.items()))
+        for o in ops
+    ])
+
+
+class TestRandomDraws:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_below_is_randrange(self, n):
+        ours, public = random.Random(n), random.Random(n)
+        for _ in range(200):
+            assert generators.below(ours, n) == public.randrange(n)
+        assert ours.getstate() == public.getstate()
+
+    @pytest.mark.parametrize("seed", [52417, 9001, 1, 7])
+    def test_random_stream_matches_public_draws(self, seed, monkeypatch):
+        rngs = []
+
+        def recording_rng_for(*args):
+            rngs.append(_rng_for(*args))
+            return rngs[-1]
+
+        monkeypatch.setattr(generators, "rng_for", recording_rng_for)
+        config = CheckConfig(seed=seed)
+        for law in LAWS.values():
+            got = itertools.islice(checker._random_stream(law, config), 300)
+            oracle_rng = _rng_for(seed, law.law_id)
+            want = itertools.islice(_oracle_stream(law, oracle_rng, config.grid_step), 300)
+            for i, (a, b) in enumerate(itertools.zip_longest(got, want)):
+                assert a is not None and b is not None and _exact(a) == _exact(b), (law.law_id, i)
+            assert rngs[-1].getstate() == oracle_rng.getstate(), law.law_id
