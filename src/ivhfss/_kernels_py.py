@@ -8,6 +8,8 @@ the law-check inner loops call straight into this module.
 
 from __future__ import annotations
 
+import math
+
 # Midpoints are quantized to 12 decimals before ordering so that decimal data
 # ties exactly (0.4+0.8 and 0.5+0.7 differ by 2e-16 in IEEE arithmetic but
 # must rank as a tie, broken by the lower endpoint).
@@ -229,8 +231,33 @@ def operator_element(kind, e1, e2):
     return dedup_element(operator_pairs(kind, e1, e2))
 
 
+def exact_mean(groups):
+    """Mean over ``groups`` of each group's mean, rounded once to a float.
+
+    The sums are exact: every float is an integer over a power of two, so the
+    largest denominator is a common one.  ``int / int`` rounds correctly, so
+    an element repeated k times has exactly the element's mean, and a mean
+    never drops below another by a rounding error when its terms are larger.
+    """
+    ratios = [[v.as_integer_ratio() for v in g] for g in groups]
+    den = max(d for g in ratios for _, d in g)
+    counts = math.lcm(*(len(g) for g in ratios))
+    num = sum(p * (den // d) * (counts // len(g)) for g in ratios for p, d in g)
+    return num / (den * counts * len(ratios))
+
+
+def mean_element(e):
+    """Componentwise mean interval of all member intervals, correctly rounded."""
+    return (exact_mean([[l for l, _ in e]]), exact_mean([[u for _, u in e]]))
+
+
 def score_element(e):
-    """Componentwise mean interval of all member intervals."""
+    """Componentwise mean interval by a left-to-right float sum.
+
+    This is what the ``score`` command prints; it can land one ulp off the
+    true mean (three copies of ``[0, 0.8501629148293597]`` sum to an upper
+    mean of ``0.8501629148293596``).  Comparisons use ``mean_element``.
+    """
     lo = 0.0
     up = 0.0
     for l, u in e:

@@ -124,8 +124,8 @@ def align(
 
 
 def score(mu: IVHFE) -> UnitInterval:
-    """Componentwise mean interval; always lands back inside [0,1]."""
-    return UnitInterval(*kernels.score_element(mu.pairs))
+    """Componentwise mean interval, correctly rounded; lands back inside [0,1]."""
+    return UnitInterval(*kernels.mean_element(mu.pairs))
 
 
 def compare_by_score(mu1: IVHFE, mu2: IVHFE) -> RankOutcome:

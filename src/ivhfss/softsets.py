@@ -23,7 +23,6 @@ from .elements import (
     pairs_combine,
     pairs_equivalent,
     pairs_strict_equal,
-    score,
 )
 from .errors import (
     EmptyFamily,
@@ -314,12 +313,14 @@ def score_table(soft_set: IVHFSoftSet) -> dict:
 
 
 def mean_scores(soft_set: IVHFSoftSet) -> dict[str, UnitInterval]:
-    """Mean of the per-parameter score intervals, per object."""
+    """Mean of the per-parameter score intervals, per object, rounded once."""
     out = {}
-    n = len(soft_set.parameters)
     for h in soft_set.universe:
-        scores = [score(soft_set.cell(e, h)) for e in soft_set.parameters]
-        out[h] = UnitInterval(sum(s.lower for s in scores) / n, sum(s.upper for s in scores) / n)
+        cells = [soft_set.pairs[(e, h)] for e in soft_set.parameters]
+        out[h] = UnitInterval(
+            kernels.exact_mean([[l for l, _ in c] for c in cells]),
+            kernels.exact_mean([[u for _, u in c] for c in cells]),
+        )
     return out
 
 

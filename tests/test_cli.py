@@ -140,6 +140,25 @@ class TestOtherCommands:
         assert len(groups) == 1
         assert sorted(groups[0]["objects"]) == ["a", "b"]
 
+    def test_rank_ties_an_element_with_its_repetition(self, tmp_path, capsys):
+        # the float sum of three 0.1s over 3 lands one ulp above 0.1
+        path = tmp_path / "tie.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "universe": ["h1", "h2"],
+                    "parameters": ["e1"],
+                    "values": {"e1": {"h1": [[0.1, 0.3]], "h2": [[0.1, 0.3]] * 3}},
+                }
+            )
+        )
+        code, stdout, _ = run(capsys, "rank", str(path))
+        assert code == 0
+        groups = json.loads(stdout)
+        assert len(groups) == 1
+        assert sorted(groups[0]["objects"]) == ["h1", "h2"]
+        assert groups[0]["mean_score"] == [0.1, 0.3]
+
     def test_rank_uses_library_order_on_midpoint_tie(self, tmp_path, capsys):
         # 0.4+0.8 and 0.5+0.7 differ only by IEEE noise; the tie goes to the
         # larger lower endpoint, as rank_compare says

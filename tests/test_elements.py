@@ -1,5 +1,7 @@
 """Element-level operations against the worked-example cells."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -116,6 +118,20 @@ class TestScore:
         assert out.possibility == pytest.approx(0.0, abs=TOL)
 
 
+    @given(elems(), st.integers(1, 6))
+    @example(element_of((0.0, 0.8501629148293597)), 3)
+    @example(element_of((0.1, 0.3)), 3)
+    def test_repeated_element_scores_identically(self, a, k):
+        repeated = element_of(*(a.as_tuples() * k))
+        assert score(repeated) == score(a)
+        assert compare_by_score(repeated, a).verdict is Verdict.EQUAL
+
+    @given(st.lists(st.lists(unit, min_size=1, max_size=6), min_size=1, max_size=4))
+    def test_exact_mean_is_correctly_rounded(self, groups):
+        want = sum(sum(map(Fraction, g)) / len(g) for g in groups) / len(groups)
+        assert kernels.exact_mean(groups) == float(want)
+
+
 class TestComplement:
     def test_worked_example(self):
         assert_cells(tuples(complement(elem((0.2, 0.9), (0.7, 1.0)))), ((0.0, 0.3), (0.1, 0.8)))
@@ -202,6 +218,8 @@ class TestElementProperties:
             assert strict_equal(combine(kind, a, b), combine(kind, b, a), tol=0.0)
 
     @given(elems(), elems())
+    @example(element_of((0.0, 0.8501629148293597)), element_of((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)))
+    @example(element_of((0.1, 0.3)), element_of((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)))
     def test_union_score_dominates_arguments(self, a, b):
         u = combine("union", a, b)
         for arg in (a, b):
