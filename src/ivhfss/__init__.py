@@ -8,12 +8,9 @@ from .elements import (
     apply_operator,
     canonicalize,
     combine,
-    compare_by_score,
     complement,
     element_of,
-    empty_element,
     equivalent,
-    full_element,
     ring_product,
     ring_sum,
     score,
@@ -24,13 +21,10 @@ from .intervals import (
     RankOutcome,
     UnitInterval,
     Verdict,
-    canonicalize_pair,
     construct_interval,
-    interval_add,
     interval_complement,
     interval_join,
     interval_meet,
-    interval_scale,
     operator_kernel,
     possibility_ge,
     rank_compare,
@@ -38,7 +32,7 @@ from .intervals import (
     ring_sum_kernel,
     star_kernel,
 )
-from .io import dump_file, load_file, parse_document, serialize_document
+from .io import load_file, parse_document, serialize_document
 from .softsets import (
     IVHFSoftSet,
     empty_of,

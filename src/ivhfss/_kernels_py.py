@@ -4,6 +4,10 @@ This is the package's one kernel implementation: the public API and the law
 checker both call it.  Intervals are plain ``(lower, upper)`` float tuples,
 elements are tuples of intervals.  Higher layers wrap these in richer types;
 the law-check inner loops call straight into this module.
+
+The complement, ring and O1..O4 expressions hold integer constants only, so
+on ``fractions.Fraction`` endpoints they compute exactly, and on floats they
+give the same bits as float constants would.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ def meet_kernel(al, au, bl, bu):
 
 
 def complement_kernel(al, au):
-    return (1.0 - au, 1.0 - al)
+    return (1 - au, 1 - al)
 
 
 def ring_sum_kernel(al, au, bl, bu):
@@ -63,40 +67,35 @@ def ring_product_kernel(al, au, bl, bu):
 
 
 def star_kernel(a, b):
-    return (a + b) / (2.0 * (a * b + 1.0))
+    return (a + b) / (2 * (a * b + 1))
 
 
 def _o1(a, b):
     d = a - b if a >= b else b - a
-    return d / (1.0 + d)
+    return d / (1 + d)
 
 
 def _o2(a, b):
     d = a - b if a >= b else b - a
-    return d / (1.0 + 2.0 * d)
+    return d / (1 + 2 * d)
 
 
 def _o3(a, b):
     d = a - b if a >= b else b - a
-    return d / 2.0
+    return d / 2
 
 
 def _o4(a, b):
-    return star_kernel(a, b) / 2.0
+    return star_kernel(a, b) / 2
 
 
 _OP_SCALAR = {"O1": _o1, "O2": _o2, "O3": _o3, "O4": _o4}
 
 
-def operator_kernel_raw(kind, al, au, bl, bu):
-    """Endpointwise O-kernel without reordering; lower may exceed upper."""
-    f = _OP_SCALAR[kind]
-    return (f(al, bl), f(au, bu))
-
-
 def operator_kernel(kind, al, au, bl, bu):
     """Endpointwise O-kernel, canonicalized to lower <= upper."""
-    lo, up = operator_kernel_raw(kind, al, au, bl, bu)
+    f = _OP_SCALAR[kind]
+    lo, up = f(al, bl), f(au, bu)
     if lo > up:
         lo, up = up, lo
     return (lo, up)
@@ -193,7 +192,7 @@ def combine_pairwise(union, e1, e2):
 
 
 def complement_element(e):
-    return sort_element([(1.0 - au, 1.0 - al) for al, au in e])  # complement_kernel
+    return sort_element([(1 - au, 1 - al) for al, au in e])  # complement_kernel
 
 
 # The all-pairs operations as un-deduplicated tuples over e1 x e2, in the

@@ -16,13 +16,7 @@ from typing import Iterable
 
 from . import _kernels_py as kernels
 from .errors import EmptyElement
-from .intervals import (
-    OPERATOR_KINDS,
-    RankOutcome,
-    UnitInterval,
-    construct_interval,
-    rank_compare,
-)
+from .intervals import OPERATOR_KINDS, UnitInterval, construct_interval
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -71,12 +65,6 @@ class IVHFE:
     def size(self) -> int:
         return len(self.pairs)
 
-    def as_tuples(self) -> tuple[tuple[float, float], ...]:
-        return self.pairs
-
-    def __iter__(self):
-        return iter(self.intervals)
-
     def __str__(self) -> str:
         return "{" + ",".join(str(iv) for iv in self.intervals) + "}"
 
@@ -100,15 +88,6 @@ def element_of(*pairs: tuple[float, float]) -> IVHFE:
     return canonicalize([construct_interval(lo, up) for lo, up in pairs])
 
 
-def empty_element() -> IVHFE:
-    """The {[0,0]} membership standing in for 'no membership'."""
-    return IVHFE(EMPTY_MEMBERSHIP)
-
-
-def full_element() -> IVHFE:
-    return IVHFE(FULL_MEMBERSHIP)
-
-
 def align(
     a: IVHFE,
     b: IVHFE,
@@ -126,10 +105,6 @@ def align(
 def score(mu: IVHFE) -> UnitInterval:
     """Componentwise mean interval, correctly rounded; lands back inside [0,1]."""
     return UnitInterval(*kernels.mean_element(mu.pairs))
-
-
-def compare_by_score(mu1: IVHFE, mu2: IVHFE) -> RankOutcome:
-    return rank_compare(score(mu1), score(mu2))
 
 
 def complement(mu: IVHFE) -> IVHFE:

@@ -15,10 +15,6 @@ class Inverted(IvhfssError):
     """An interval was constructed with lower > upper."""
 
 
-class NegativeScalar(IvhfssError):
-    """A scalar multiplier below zero was supplied."""
-
-
 class EmptyElement(IvhfssError):
     """A hesitant element needs at least one interval."""
 

@@ -14,7 +14,7 @@ from enum import Enum
 import math
 
 from . import _kernels_py as kernels
-from .errors import Inverted, NegativeScalar, OutOfRange
+from .errors import Inverted, OutOfRange
 
 OPERATOR_KINDS = ("O1", "O2", "O3", "O4")
 
@@ -33,10 +33,6 @@ class UnitInterval:
     @property
     def width(self) -> float:
         return self.upper - self.lower
-
-    @property
-    def midpoint(self) -> float:
-        return (self.lower + self.upper) / 2.0
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.lower, self.upper)
@@ -68,27 +64,6 @@ def construct_interval(lower: float, upper: float) -> UnitInterval:
     if lower > upper:
         raise Inverted(f"lower {lower} exceeds upper {upper}")
     return UnitInterval(float(lower), float(upper))
-
-
-def canonicalize_pair(lower: float, upper: float) -> UnitInterval:
-    """Like construct_interval but swaps an inverted pair instead of raising."""
-    if lower > upper:
-        lower, upper = upper, lower
-    return construct_interval(lower, upper)
-
-
-def interval_add(a: UnitInterval, b: UnitInterval) -> tuple[float, float]:
-    """Componentwise sum. Plain interval value: the result may exceed 1."""
-    return (a.lower + b.lower, a.upper + b.upper)
-
-
-def interval_scale(lam: float, a: UnitInterval) -> tuple[float, float]:
-    """Scalar multiple for lam >= 0; lam = 0 gives the zero interval."""
-    if lam < 0.0:
-        raise NegativeScalar(f"scalar must be nonnegative, got {lam}")
-    if lam == 0.0:
-        return (0.0, 0.0)
-    return (lam * a.lower, lam * a.upper)
 
 
 def possibility_ge(a: UnitInterval, b: UnitInterval) -> float:
@@ -141,18 +116,13 @@ def star_kernel(a: float, b: float) -> float:
     return kernels.star_kernel(a, b)
 
 
-def operator_kernel(
-    kind: str, a: UnitInterval, b: UnitInterval, *, raw: bool = False
-):
+def operator_kernel(kind: str, a: UnitInterval, b: UnitInterval) -> UnitInterval:
     """Endpointwise difference operator O1..O4.
 
     The endpoint kernels can produce an inverted pair (the lower-endpoint
     difference may exceed the upper-endpoint one); the result is
-    canonicalized.  ``raw=True`` returns the uncanonicalized float pair for
-    diagnostic use.
+    canonicalized.
     """
     if kind not in OPERATOR_KINDS:
         raise KeyError(f"unknown operator kind {kind!r}")
-    if raw:
-        return kernels.operator_kernel_raw(kind, a.lower, a.upper, b.lower, b.upper)
     return UnitInterval(*kernels.operator_kernel(kind, a.lower, a.upper, b.lower, b.upper))

@@ -188,8 +188,3 @@ def serialize_document(soft_set: IVHFSoftSet) -> str:
 def load_file(path) -> IVHFSoftSet:
     with open(path, "rb") as fh:
         return parse_document(fh.read())
-
-
-def dump_file(path, soft_set: IVHFSoftSet) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_document(soft_set))

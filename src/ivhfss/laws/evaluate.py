@@ -39,14 +39,10 @@ class SynchronizedElements:
     are deduplicated only when they are compared or reported."""
 
     def union(self, a, b):
-        return kernels.dedup_element(
-            [kernels.join_kernel(s[0], s[1], o[0], o[1]) for s, o in zip(a, b)]
-        )
+        return kernels.dedup_element(kernels.zip_combine(True, a, b, True))
 
     def intersection(self, a, b):
-        return kernels.dedup_element(
-            [kernels.meet_kernel(s[0], s[1], o[0], o[1]) for s, o in zip(a, b)]
-        )
+        return kernels.dedup_element(kernels.zip_combine(False, a, b, True))
 
     def ring_sum(self, a: IVHFE, b: IVHFE):
         return kernels.ring_sum_pairs(a.pairs, b.pairs)

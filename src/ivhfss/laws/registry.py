@@ -62,17 +62,6 @@ class Law:
     build_public: Callable  # operands -> (lhs, rhs) through the public API
     constraint: Callable = _anything
 
-    @property
-    def expected_status(self) -> str:
-        """Desk-analysis prediction; advisory only, never asserted by checking."""
-        return "violated" if self.law_id in EXPECTED_VIOLATED else "holds"
-
-
-EXPECTED_VIOLATED = frozenset(
-    ["P3.7.iii", "P3.7.iv", "P3.11.i", "P3.11.ii"]
-    + [f"P4.{k}.{i}" for k in (2, 3, 4, 5) for i in ("iii", "iv", "v", "vi")]
-)
-
 
 # ---------------------------------------------------------------------------
 # the public API as an algebra, in one literal combine mode

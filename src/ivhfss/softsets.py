@@ -54,15 +54,12 @@ class IVHFSoftSet:
     def cell(self, parameter: str, obj: str) -> IVHFE:
         return IVHFE(self.pairs[(parameter, obj)])
 
-    def cells(self):
-        for e in self.parameters:
-            for h in self.universe:
-                yield e, h, self.cell(e, h)
-
 
 def _check_names(universe: tuple[str, ...], parameters: tuple[str, ...]) -> None:
     if not universe:
         raise EmptyUniverse("universe must be nonempty")
+    if not parameters:
+        raise ParameterMismatch("parameters must be nonempty")
     if len(set(universe)) != len(universe):
         raise UniverseMismatch(f"duplicate object names in {universe}")
     if len(set(parameters)) != len(parameters):

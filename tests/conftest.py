@@ -33,7 +33,7 @@ def hc() -> IVHFSoftSet:
 
 def same_multiset(cell, expected, tol=TOL) -> bool:
     """Order-insensitive cell comparison against a list of (lo, up) pairs."""
-    got = sorted(cell.as_tuples())
+    got = sorted(cell.pairs)
     want = sorted((float(lo), float(up)) for lo, up in expected)
     if len(got) != len(want):
         return False
@@ -52,7 +52,7 @@ def assert_table(soft_set: IVHFSoftSet, expected: dict, tol=TOL) -> None:
         for h, cell in row.items():
             got = soft_set.cell(e, h)
             assert same_multiset(got, cell, tol), (
-                f"cell {e}/{h}: got {got.as_tuples()}, want {cell}"
+                f"cell {e}/{h}: got {got.pairs}, want {cell}"
             )
 
 

@@ -115,8 +115,8 @@ class TestAcceptance:
         assert not soft_strict_equal(lhs, rhs)
         diff = [
             (e, h)
-            for e, h, cell in lhs.cells()
-            if sorted(cell.as_tuples()) != sorted(rhs.cell(e, h).as_tuples())
+            for (e, h), cell in lhs.pairs.items()
+            if sorted(cell) != sorted(rhs.cell(e, h).pairs)
         ]
         assert diff == [("e1", "h1")]
         assert same_multiset(lhs.cell("e1", "h1"), [(0.3, 0.8)])

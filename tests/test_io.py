@@ -53,7 +53,7 @@ class TestParse:
         text = doc({"e1": {"h1": [[0.5, 0.6], [0.1, 0.2]]}})
         with pytest.warns(CanonicalizationWarning):
             ss = parse_document(text)
-        assert ss.cell("e1", "h1").as_tuples() == ((0.1, 0.2), (0.5, 0.6))
+        assert ss.cell("e1", "h1").pairs == ((0.1, 0.2), (0.5, 0.6))
 
     def test_sorted_input_does_not_warn(self):
         text = doc({"e1": {"h1": [[0.1, 0.2], [0.5, 0.6]]}})

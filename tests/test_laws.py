@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -61,13 +62,6 @@ class TestRegistry:
         assert get("P3.10.i").equality == "equivalent"
         assert get("P3.11.i").equality == "strict"
         assert get("P3.11.i").parameter_mode == "mixed"
-
-    def test_expected_status_metadata(self):
-        # advisory desk-analysis flags, never asserted during checking
-        assert get("P4.2.iii").expected_status == "violated"
-        assert get("P4.2.i").expected_status == "holds"
-        assert get("P3.11.ii").expected_status == "violated"
-        assert get("P3.10.i").expected_status == "holds"
 
 
 class TestIndividualLaws:
@@ -146,6 +140,43 @@ class TestCounterexamples:
         assert sum(sizes) <= 8
 
 
+def _fraction_cell(cell):
+    return tuple((Fraction(lo), Fraction(up)) for lo, up in cell)
+
+
+def _as_fractions(op):
+    """The operand with every endpoint an exact ``Fraction`` of its float."""
+    if isinstance(op, IVHFE):
+        return IVHFE(_fraction_cell(op.pairs))
+    return IVHFSoftSet(op.universe, op.parameters, {key: _fraction_cell(cell) for key, cell in op.pairs.items()})
+
+
+def _endpoint_types(side):
+    """The endpoint types of a law side: an element, a soft set or a per-pair list."""
+    if isinstance(side, IVHFSoftSet):
+        cells = side.pairs.values()
+    else:
+        cells = [side.pairs if isinstance(side, IVHFE) else side]
+    return {type(x) for cell in cells for pair in cell for x in pair}
+
+
+class TestExactCounterexamples:
+    def test_counterexamples_violate_in_exact_arithmetic(self):
+        # The element kernels hold no float constant, so on Fraction
+        # endpoints every side is computed exactly and tolerance 0 compares
+        # true values: a reported violation is not a rounding artefact.
+        reports = run_suite(CheckConfig(grid_step=0.5, random_trials=300, seed=9001))
+        found = [r for r in reports if r.counterexample is not None]
+        assert len(found) == 20
+        for report in found:
+            law = get(report.law_id)
+            ops = tuple(_as_fractions(o) for o in checker._operands_from_json(law, report.counterexample))
+            for lhs, rhs in (law.build_raw(ops), law.build_public(ops)):
+                assert _endpoint_types(lhs) | _endpoint_types(rhs) == {Fraction}, report.law_id
+            assert checker._violates(law, ops, 0.0), report.law_id
+            assert checker._public_violates(law, ops, 0.0), report.law_id
+
+
 class TestDeterminism:
     def test_same_config_same_reports(self):
         cfg = CheckConfig(random_trials=30, seed=99)
@@ -218,9 +249,9 @@ class TestOneAlgebra:
         from ivhfss import canonicalize, construct_interval, element_of
 
         mu = element_of((0.5, 0.6), (0.1, 0.9))
-        assert mu.as_tuples() == ((0.1, 0.9), (0.5, 0.6))
+        assert mu.pairs == ((0.1, 0.9), (0.5, 0.6))
         assert canonicalize([construct_interval(0.5, 0.6), construct_interval(0.1, 0.9)]) == mu
-        assert [iv.as_tuple() for iv in mu.intervals] == list(mu.as_tuples())
+        assert [iv.as_tuple() for iv in mu.intervals] == list(mu.pairs)
 
 
 # The random stream as it was first written, with the public Random methods

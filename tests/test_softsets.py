@@ -49,6 +49,16 @@ class TestConstruction:
         with pytest.raises(EmptyUniverse):
             empty_of(["e1"], [])
 
+    @pytest.mark.parametrize("build", [
+        lambda: make_soft_set(["h1", "h2"], [], {}),
+        lambda: empty_of([], ["h1"]),
+        lambda: full_of([], ["h1"]),
+    ])
+    def test_empty_parameters_rejected(self, build):
+        # io rejects a parameterless document, so no such soft set may exist
+        with pytest.raises(ParameterMismatch, match="parameters must be nonempty"):
+            build()
+
 
 class TestUnion:
     def test_worked_table(self, fa, gb):
@@ -131,7 +141,7 @@ class TestRingOps:
         a = single_cell((0.3, 0.5))
         b = single_cell((0.5, 0.5))
         out = soft_ring_sum(a, b)
-        assert out.cell("e1", "h1").as_tuples() == ((0.65, 0.75),)
+        assert out.cell("e1", "h1").pairs == ((0.65, 0.75),)
 
     def test_identities_up_to_duplicates(self, fa):
         assert soft_equivalent(soft_ring_sum(fa, empty_of(fa.parameters, fa.universe)), fa)
@@ -166,12 +176,12 @@ class TestDistributivityInstance:
         assert not soft_strict_equal(lhs, rhs)
         assert soft_equivalent(lhs, rhs)
         # the only strict difference is the padded duplicate at e1/h1
-        assert lhs.cell("e1", "h1").as_tuples() == ((0.3, 0.8),)
-        assert rhs.cell("e1", "h1").as_tuples() == ((0.3, 0.8), (0.3, 0.8))
+        assert lhs.cell("e1", "h1").pairs == ((0.3, 0.8),)
+        assert rhs.cell("e1", "h1").pairs == ((0.3, 0.8), (0.3, 0.8))
         diff = [
             (e, h)
-            for e, h, cell in lhs.cells()
-            if sorted(cell.as_tuples()) != sorted(rhs.cell(e, h).as_tuples())
+            for (e, h), cell in lhs.pairs.items()
+            if sorted(cell) != sorted(rhs.cell(e, h).pairs)
         ]
         assert diff == [("e1", "h1")]
 
@@ -225,4 +235,4 @@ class TestPairwiseMode:
         a = single_cell((0.2, 0.3), (0.8, 0.9))
         b = single_cell((0.5, 0.5))
         out = soft_union(a, b, policy=AlignmentPolicy.PESSIMISTIC)
-        assert out.cell("e1", "h1").as_tuples() == ((0.5, 0.5), (0.8, 0.9))
+        assert out.cell("e1", "h1").pairs == ((0.5, 0.5), (0.8, 0.9))
