@@ -33,7 +33,11 @@ from .softsets import IVHFSoftSet
 
 
 class CanonicalizationWarning(UserWarning):
-    """Input intervals were stored out of canonical order."""
+    """Input intervals were stored out of canonical order; ``label`` names the cell."""
+
+    def __init__(self, label: str):
+        super().__init__(f"{label}: intervals were not in canonical order; sorted on load")
+        self.label = label
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -59,11 +63,7 @@ def decode_cell(raw, label: str) -> tuple[tuple[float, float], ...]:
         pairs.append((interval.lower, interval.upper))
     ordered = kernels.sort_element(pairs)
     if ordered != tuple(pairs):
-        warnings.warn(
-            f"{label}: intervals were not in canonical order; sorted on load",
-            CanonicalizationWarning,
-            stacklevel=3,
-        )
+        warnings.warn(CanonicalizationWarning(label), stacklevel=3)
     return ordered
 
 
@@ -103,6 +103,18 @@ def decode_soft_set(doc) -> IVHFSoftSet:
     return IVHFSoftSet(tuple(universe), tuple(parameters), pairs)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice is a ``SchemaError``, not last-wins."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def parse_document(text: str | bytes) -> IVHFSoftSet:
     """Decode, validate, and canonicalize a soft-set document."""
     if isinstance(text, bytes):
@@ -111,7 +123,9 @@ def parse_document(text: str | bytes) -> IVHFSoftSet:
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not UTF-8: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except SchemaError:
+        raise
     except RecursionError as exc:
         raise ParseError("malformed JSON: nested too deeply") from exc
     except ValueError as exc:  # also an integer beyond int()'s digit limit

@@ -167,28 +167,33 @@ def _soft_enumeration(law: Law, config: CheckConfig) -> tuple[Iterable, bool]:
     return itertools.product(softs, repeat=law.arity), False
 
 
-def _random_stream(law: Law, config: CheckConfig) -> Iterator:
+def _random_stream(law: Law, config: CheckConfig, grid_checked: bool = False) -> Iterator:
     """Seeded random operand tuples, at most one per trial; each passes ``_valid``.
 
     A soft trial redraws parameters and cells until the tuple is valid, at
-    most 50 times, and yields nothing when all 50 are invalid.
+    most 50 times, and yields nothing when all 50 are invalid.  With
+    ``grid_checked`` (an element law whose exhaustive grid has held), a
+    snapped trial is a tuple of that grid: its operands are drawn as usual,
+    but it yields ``None``, to be counted and not evaluated again.
     """
     rng = gen.rng_for(config.seed, law.law_id)
     random_, step, arity = rng.random, config.grid_step, law.arity
+    grid = gen.snap_points(step)
     if law.level == "element":  # every element law takes any operands
         for _ in range(config.random_trials):
-            snap = random_() < 0.5
-            yield tuple([gen.random_element(rng, step, MAX_ELEMENT_SIZE, snap) for _ in range(arity)])
+            points = grid if random_() < 0.5 else None
+            ops = tuple([gen.random_element(rng, step, MAX_ELEMENT_SIZE, points) for _ in range(arity)])
+            yield None if grid_checked and points is not None else ops
         return
     family = law.law_id.startswith(_FAMILY_LAWS)
     shared = law.parameter_mode == "shared"
     for _ in range(config.random_trials):
-        snap = random_() < 0.5
+        points = grid if random_() < 0.5 else None
         count = 1 + gen.below(rng, arity) if family else arity
         universe = _UNIVERSES[gen.below(rng, MAX_OBJECTS)]
         for _ in range(50):
             candidate = tuple([
-                gen.random_soft(rng, ps, universe, step, MAX_ELEMENT_SIZE, snap)
+                gen.random_soft(rng, ps, universe, step, MAX_ELEMENT_SIZE, points)
                 for ps in gen.random_param_sets(rng, count, MAX_PARAMETERS, shared)
             ])
             if _valid(law, candidate):
@@ -340,7 +345,8 @@ def check_law(law: Law, config: CheckConfig | None = None, allow_partial: bool =
     exhaustive = False
 
     def streams():
-        # seed and grid operands are validated here; random ones come validated
+        # seed and grid operands are validated here; random ones come
+        # validated, or as None for a tuple the grid has already checked
         nonlocal exhaustive
         valid = functools.partial(_valid, law)
         yield from filter(valid, gen.seed_instances(law.level, law.arity, law.parameter_mode))
@@ -356,11 +362,12 @@ def check_law(law: Law, config: CheckConfig | None = None, allow_partial: bool =
             enum_stream, exhaustive_flag = (), False
         exhaustive = exhaustive_flag
         yield from filter(valid, enum_stream)
-        yield from _random_stream(law, config)
+        # reached only when every grid tuple held
+        yield from _random_stream(law, config, grid_checked=exhaustive)
 
     for ops in streams():
         trials += 1
-        if _violates(law, ops, TOLERANCE):
+        if ops is not None and _violates(law, ops, TOLERANCE):
             shrunk, steps = _shrink(law, ops, config)
             return LawReport(
                 law_id=law.law_id,

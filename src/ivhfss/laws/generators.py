@@ -68,26 +68,64 @@ def below(rng: random.Random, n: int) -> int:
     return r
 
 
-def _random_pairs(rng: random.Random, step: float, max_size: int, snap: bool) -> tuple:
-    """A random element's pairs: ``rng.randint(1, max_size)`` intervals, each
-    two ``rng.random()`` endpoints, ordered and, when ``snap``, snapped to the grid."""
-    random_ = rng.random
+# a random stream snaps endpoints by table lookup up to this many grid points;
+# a finer grid snaps by arithmetic, so a tiny step never builds a table
+SNAP_TABLE_MAX = 4096
+
+
+class _ArithmeticPoints:
+    """``snap_points``' answer above ``SNAP_TABLE_MAX`` points: each one computed."""
+
+    __slots__ = ("step",)
+
+    def __init__(self, step: float):
+        self.step = step
+
+    def __getitem__(self, i: int) -> float:
+        return min(1.0, round(i * self.step, 12))
+
+
+def snap_points(step: float):
+    """The grid points as a sequence indexed by ``round(x / step)``.
+
+    Point ``i`` is ``min(1.0, round(i * step, 12))``, so ``points[round(x / step)]``
+    is the arithmetic snap ``min(1.0, round(round(x / step) * step, 12))``.
+    For ``0 <= x < 1``, ``round(x / step)`` is at most ``round(1 / step)``, the
+    last index, because division and ``round`` are monotone.
+    """
+    n = round(1.0 / step)
+    if n >= SNAP_TABLE_MAX:
+        return _ArithmeticPoints(step)
+    return [min(1.0, round(i * step, 12)) for i in range(n + 1)]
+
+
+def _random_pairs(rng: random.Random, step: float, max_size: int, points) -> tuple:
+    """A random element's pairs: ``rng.randint(1, max_size)`` intervals, each two
+    ``rng.random()`` endpoints, ordered and, unless ``points`` is None, snapped
+    to those grid points (``snap_points``).
+
+    Snapping is monotone, so it never reorders an interval's endpoints.
+    """
+    random_, getrandbits = rng.random, rng.getrandbits
+    k = max_size.bit_length()  # below(rng, max_size), inlined
+    size = getrandbits(k)
+    while size >= max_size:
+        size = getrandbits(k)
     out = []
-    for _ in range(1 + below(rng, max_size)):
+    for _ in range(size + 1):
         a, b = random_(), random_()
         if a > b:
             a, b = b, a
-        if snap:
-            a = min(1.0, round(round(a / step) * step, 12))
-            b = min(1.0, round(round(b / step) * step, 12))
-            if a > b:
-                a, b = b, a
+        if points is not None:
+            a, b = points[round(a / step)], points[round(b / step)]
         out.append((a, b))
+    if size == 0:
+        return (out[0],)
     return kernels.sort_element(out)
 
 
-def random_element(rng: random.Random, step: float, max_size: int, snap: bool) -> IVHFE:
-    return IVHFE(_random_pairs(rng, step, max_size, snap))
+def random_element(rng: random.Random, step: float, max_size: int, points) -> IVHFE:
+    return IVHFE(_random_pairs(rng, step, max_size, points))
 
 
 def random_soft(
@@ -96,13 +134,12 @@ def random_soft(
     universe: tuple[str, ...],
     step: float,
     max_size: int,
-    snap: bool,
+    points,
 ) -> IVHFSoftSet:
-    pairs = {
-        (e, h): _random_pairs(rng, step, max_size, snap)
-        for e in params
-        for h in universe
-    }
+    pairs = {}
+    for e in params:
+        for h in universe:
+            pairs[e, h] = _random_pairs(rng, step, max_size, points)
     return IVHFSoftSet(universe, params, pairs)
 
 
@@ -112,13 +149,22 @@ def _random_names(rng: random.Random, pool: tuple[str, ...]) -> tuple[str, ...]:
     ``sample`` keeps a list of the names not yet chosen when the pool has at
     most 21 names, as every pool here does; this is that path.
     """
+    getrandbits = rng.getrandbits
     n = len(pool)
+    k = n.bit_length()  # below(rng, n), inlined here and below
+    size = getrandbits(k)
+    while size >= n:
+        size = getrandbits(k)
     left = list(pool)
     chosen = []
-    for i in range(1 + below(rng, n)):
-        j = below(rng, n - i)
+    for i in range(size + 1):
+        m = n - i
+        k = m.bit_length()
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
         chosen.append(left[j])
-        left[j] = left[n - i - 1]
+        left[j] = left[m - 1]
     chosen.sort()
     return tuple(chosen)
 

@@ -70,6 +70,22 @@ class TestOtherCommands:
         assert code == 0
         assert_table(parse_document(stdout), golden.COMP_FA)
 
+    def test_resorted_cells_are_reported_in_one_line_per_input(self, tmp_path, capsys):
+        unsorted = [[0.5, 0.6], [0.1, 0.2]]
+        path = tmp_path / "unsorted.json"
+        path.write_text(json.dumps({
+            "universe": ["h1", "h2"],
+            "parameters": ["e1", "e2"],
+            "values": {
+                "e1": {"h1": [[0.1, 0.2]], "h2": unsorted},
+                "e2": {"h1": unsorted, "h2": unsorted},
+            },
+        }))
+        code, _, err = run(capsys, "union", str(path), str(path))
+        assert code == 0
+        line = f"warning: {path}: 3 cell(s) not in canonical order, sorted on load; the first is cell e1/h2\n"
+        assert err == line * 2
+
     def test_ringsum_requires_matching_parameters(self, capsys):
         code, _, err = run(capsys, "ringsum", FA, GB)
         assert code == 2
@@ -195,6 +211,16 @@ class TestErrorPaths:
         )
         assert run(capsys, "complement", str(bad))[0] == 2
 
+    def test_duplicate_key_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "dup.json"
+        bad.write_text(
+            '{"universe": ["h1"], "parameters": ["e1"],'
+            ' "values": {"e1": {"h1": [[0.1, 0.2]], "h1": [[0.3, 0.4]]}}}'
+        )
+        code, stdout, err = run(capsys, "complement", str(bad))
+        assert code == 2 and stdout == ""
+        assert err == "error: duplicate key 'h1'\n"
+
     def test_usage_error_exits_1(self, capsys):
         assert run(capsys, "union", FA)[0] == 1
         assert run(capsys, "no-such-command")[0] == 1
@@ -263,6 +289,16 @@ class TestCheckLaws:
         assert code == 1
         assert stdout == ""
         assert err.startswith("error: ")
+
+    def test_defaults_are_the_check_config_defaults(self):
+        # the CLI names them itself, so that it need not import the checker
+        from dataclasses import astuple
+
+        from ivhfss.cli import build_parser
+        from ivhfss.laws import CheckConfig
+
+        args = build_parser().parse_args(["check-laws"])
+        assert (args.grid_step, args.trials, args.seed) == astuple(CheckConfig())
 
     def test_unwritable_report_exits_2(self, tmp_path, capsys):
         report = tmp_path / "missing" / "report.json"

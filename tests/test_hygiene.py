@@ -1,6 +1,12 @@
-"""Source hygiene that needs no linter: every imported name is used."""
+"""Source hygiene that needs no linter.
+
+Every imported name is used, and importing the CLI leaves the law checker out.
+"""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +34,11 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
     assert not unused, f"unused imports in {path.name}: {unused}"
+
+
+def test_cli_import_leaves_the_law_checker_out():
+    # every command pays for what ivhfss.cli imports; only check-laws needs ivhfss.laws
+    path = [str(SRC.parent)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = "import sys, ivhfss.cli; sys.exit('ivhfss.laws' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

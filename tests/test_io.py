@@ -61,6 +61,20 @@ class TestParse:
             warnings.simplefilter("error")
             parse_document(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"universe": ["h1"], "universe": ["h1"], "parameters": ["e1"], "values": {"e1": {"h1": [[0, 1]]}}}',
+            '{"universe": ["h1"], "parameters": ["e1"], "values": {"e1": {"h1": [[0, 1]]}, "e1": {"h1": [[0, 1]]}}}',
+            '{"universe": ["h1"], "parameters": ["e1"], "values": {"e1": {"h1": [[0, 1]], "h1": [[0, 0.5]]}}}',
+        ],
+        ids=["top-level", "parameter", "object"],
+    )
+    def test_duplicate_keys_are_a_schema_error(self, text):
+        # json.loads alone keeps the last value of a repeated key
+        with pytest.raises(SchemaError, match="duplicate key"):
+            parse_document(text)
+
     def test_non_utf8_bytes(self):
         with pytest.raises(ParseError):
             parse_document(b"\xff\xfe{}")

@@ -230,13 +230,14 @@ class TestOneAlgebra:
         from ivhfss import _kernels_py as kernels
         from ivhfss import soft_intersection, soft_union
         from ivhfss.laws.evaluate import SequenceSoftSets
-        from ivhfss.laws.generators import random_soft
+        from ivhfss.laws.generators import random_soft, snap_points
 
         sequence = SequenceSoftSets()
         rng = random.Random(7)
+        points = snap_points(0.25)
         for _ in range(50):
-            f = random_soft(rng, ("e1", "e2"), ("h1", "h2"), 0.25, 2, rng.random() < 0.5)
-            g = random_soft(rng, ("e2", "e3"), ("h1", "h2"), 0.25, 2, rng.random() < 0.5)
+            f = random_soft(rng, ("e1", "e2"), ("h1", "h2"), 0.25, 2, points if rng.random() < 0.5 else None)
+            g = random_soft(rng, ("e2", "e3"), ("h1", "h2"), 0.25, 2, points if rng.random() < 0.5 else None)
             for regime, public in (
                 (sequence.union, soft_union),
                 (sequence.intersection, soft_intersection),
@@ -330,8 +331,8 @@ class TestRandomDraws:
             assert generators.below(ours, n) == public.randrange(n)
         assert ours.getstate() == public.getstate()
 
-    @pytest.mark.parametrize("seed", [52417, 9001, 1, 7])
-    def test_random_stream_matches_public_draws(self, seed, monkeypatch):
+    @staticmethod
+    def assert_stream_is_the_oracle(config, monkeypatch):
         rngs = []
 
         def recording_rng_for(*args):
@@ -339,11 +340,73 @@ class TestRandomDraws:
             return rngs[-1]
 
         monkeypatch.setattr(generators, "rng_for", recording_rng_for)
-        config = CheckConfig(seed=seed)
         for law in LAWS.values():
             got = itertools.islice(checker._random_stream(law, config), 300)
-            oracle_rng = _rng_for(seed, law.law_id)
+            oracle_rng = _rng_for(config.seed, law.law_id)
             want = itertools.islice(_oracle_stream(law, oracle_rng, config.grid_step), 300)
             for i, (a, b) in enumerate(itertools.zip_longest(got, want)):
                 assert a is not None and b is not None and _exact(a) == _exact(b), (law.law_id, i)
             assert rngs[-1].getstate() == oracle_rng.getstate(), law.law_id
+
+    @pytest.mark.parametrize("seed", [52417, 9001, 1, 7])
+    def test_random_stream_matches_public_draws(self, seed, monkeypatch):
+        self.assert_stream_is_the_oracle(CheckConfig(seed=seed), monkeypatch)
+
+    # the default step is 0.25; these pin the snap table on other grids
+    @pytest.mark.parametrize("step", [0.5, 1 / 3, 0.1, 1.0])
+    def test_random_stream_matches_public_draws_at_grid_step(self, step, monkeypatch):
+        self.assert_stream_is_the_oracle(CheckConfig(grid_step=step), monkeypatch)
+
+    @pytest.mark.parametrize("step", [0.1, 1 / 3, 0.25, 1 / (generators.SNAP_TABLE_MAX - 1)])
+    def test_snap_table_is_the_arithmetic_snap(self, step):
+        points = generators.snap_points(step)
+        assert isinstance(points, list) and points[-1] == 1.0
+        rng = random.Random(7)
+        for x in [0.0, step / 2, 1 - step / 2, 1 - 1e-16] + [rng.random() for _ in range(2000)]:
+            assert points[round(x / step)] == min(1.0, round(round(x / step) * step, 12)), x
+
+    @pytest.mark.parametrize("step", [1e-300, 1 / generators.SNAP_TABLE_MAX])
+    def test_fine_step_builds_no_snap_table(self, step):
+        # at 1e-300 a table would hold 1e300 points
+        points = generators.snap_points(step)
+        assert not isinstance(points, list)
+        for i in (0, 1, 3, 12345, round(1.0 / step)):
+            assert points[i] == min(1.0, round(i * step, 12))
+
+
+class TestGridCoveredTrials:
+    """A holding element law's snapped random trials repeat grid tuples."""
+
+    @pytest.mark.parametrize("step", [0.25, 0.5])
+    def test_snapped_operands_are_grid_elements(self, step):
+        law = get("P4.2.i")
+        config = CheckConfig(grid_step=step, random_trials=20_000)
+        grid = {e.pairs for e in generators.grid_elements(step, checker.MAX_ELEMENT_SIZE)}
+        marked = checker._random_stream(law, config, grid_checked=True)
+        drawn = checker._random_stream(law, config)
+        covered = 0
+        for mark, ops in zip(marked, drawn, strict=True):
+            if mark is None:
+                covered += 1
+                assert all(o.pairs in grid for o in ops), ops
+            else:
+                assert _exact(mark) == _exact(ops)
+        assert 9_000 < covered < 11_000
+
+    def test_covered_trials_are_counted_not_evaluated(self, monkeypatch):
+        law = get("P2.12.i")
+        config = CheckConfig(grid_step=0.5, random_trials=400)
+        covered = sum(ops is None for ops in checker._random_stream(law, config, grid_checked=True))
+        evaluated = []
+        violates = checker._violates
+
+        def counting(*args):
+            evaluated.append(args)
+            return violates(*args)
+
+        monkeypatch.setattr(checker, "_violates", counting)
+        report = check_law(law, config)
+        grid = generators.grid_element_count(0.5, checker.MAX_ELEMENT_SIZE) ** 2
+        assert report.status == "holds" and report.exhaustive
+        assert report.trials_run == grid + 400
+        assert len(evaluated) == grid + 400 - covered and covered > 100
