@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -211,9 +212,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except IvhfssError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the flush at exit
+        # does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before the output was written", file=sys.stderr)
         return EXIT_INPUT
 
 

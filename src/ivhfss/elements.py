@@ -160,12 +160,27 @@ def _all_close(a, b, tol: float) -> bool:
 
 
 def pairs_strict_equal(a, b, tol: float) -> bool:
-    """``strict_equal`` on two pair tuples, which need not be sorted."""
+    """``strict_equal`` on two pair tuples, which need not be sorted.
+
+    Equal tuples are accepted without sorting them: the sort makes the same
+    comparisons on both, so the sorted sides differ by 0 at every endpoint
+    (``-0.0`` against ``0.0`` included).  A negative ``tol`` still rejects
+    them.  The one input where ``==`` and the endpoint comparison disagree is
+    a NaN endpoint, which no validated interval holds.
+    """
+    if tol >= 0 and a == b:
+        return True
     return len(a) == len(b) and _all_close(kernels.sort_element(a), kernels.sort_element(b), tol)
 
 
 def pairs_equivalent(a, b, tol: float) -> bool:
-    """``equivalent`` on two pair tuples, which need not be sorted."""
+    """``equivalent`` on two pair tuples, which need not be sorted.
+
+    Equal tuples are accepted without deduplicating them, as in
+    ``pairs_strict_equal``.
+    """
+    if tol >= 0 and a == b:
+        return True
     return _all_close(kernels.dedup_element(a), kernels.dedup_element(b), tol)
 
 

@@ -116,16 +116,18 @@ def union_rule(
     universe = _require_same_universe(f, g)
     fset, gset = set(f.parameters), set(g.parameters)
     parameters = f.parameters + tuple(e for e in g.parameters if e not in fset)
+    fpairs, gpairs = f.pairs, g.pairs
     pairs = {}
     for e in parameters:
-        for h in universe:
-            key = (e, h)
-            if e in fset and e in gset:
-                pairs[key] = combine(f.pairs[key], g.pairs[key])
-            elif e in fset:
-                pairs[key] = f.pairs[key]
-            else:
-                pairs[key] = g.pairs[key]
+        if e in fset and e in gset:
+            for h in universe:
+                key = (e, h)
+                pairs[key] = combine(fpairs[key], gpairs[key])
+        else:
+            owner = fpairs if e in fset else gpairs
+            for h in universe:
+                key = (e, h)
+                pairs[key] = owner[key]
     return IVHFSoftSet(universe, parameters, pairs)
 
 
@@ -135,9 +137,12 @@ def intersection_rule(
     """The intersection over the shared parameters, cells by ``combine``."""
     universe = _require_same_universe(f, g)
     shared = _shared_parameters(f, g)
-    pairs = {
-        (e, h): combine(f.pairs[(e, h)], g.pairs[(e, h)]) for e in shared for h in universe
-    }
+    fpairs, gpairs = f.pairs, g.pairs
+    pairs = {}
+    for e in shared:
+        for h in universe:
+            key = (e, h)
+            pairs[key] = combine(fpairs[key], gpairs[key])
     return IVHFSoftSet(universe, shared, pairs)
 
 
@@ -280,22 +285,31 @@ def _same_names(f: IVHFSoftSet, g: IVHFSoftSet) -> bool:
     )
 
 
+def _cellwise_equal(
+    f: IVHFSoftSet, g: IVHFSoftSet, tol: float, cell_equal: Callable[[Pairs, Pairs, float], bool]
+) -> bool:
+    """Same names and ``cell_equal`` on every cell; equal tables pass in one
+    dict comparison, for the reason ``pairs_strict_equal`` gives per cell."""
+    if not _same_names(f, g):
+        return False
+    if tol >= 0 and f.pairs == g.pairs:
+        return True
+    gpairs = g.pairs
+    return all(cell_equal(cell, gpairs[key], tol) for key, cell in f.pairs.items())
+
+
 def soft_strict_equal(
     f: IVHFSoftSet, g: IVHFSoftSet, tol: float = DEFAULT_TOLERANCE
 ) -> bool:
     """Same parameters and cellwise strict multiset equality."""
-    return _same_names(f, g) and all(
-        pairs_strict_equal(cell, g.pairs[key], tol) for key, cell in f.pairs.items()
-    )
+    return _cellwise_equal(f, g, tol, pairs_strict_equal)
 
 
 def soft_equivalent(
     f: IVHFSoftSet, g: IVHFSoftSet, tol: float = DEFAULT_TOLERANCE
 ) -> bool:
     """Same parameters and cellwise dedup equivalence."""
-    return _same_names(f, g) and all(
-        pairs_equivalent(cell, g.pairs[key], tol) for key, cell in f.pairs.items()
-    )
+    return _cellwise_equal(f, g, tol, pairs_equivalent)
 
 
 # --- ranking ---

@@ -1,6 +1,9 @@
 """CLI behaviors: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -256,6 +259,30 @@ class TestErrorPaths:
         code, _, err = run(capsys, "complement", str(bad))
         assert code == 2
         assert err.startswith("error: malformed JSON")
+
+    @pytest.mark.parametrize("command", ["score", "complement"])
+    def test_closed_stdout_exits_2(self, tmp_path, command):
+        universe = [f"h{j:03d}" for j in range(300)]
+        parameters = [f"e{i:02d}" for i in range(20)]
+        doc = tmp_path / "big.json"
+        doc.write_text(json.dumps({
+            "universe": universe,
+            "parameters": parameters,
+            "values": {e: {h: [[0.1, 0.2], [0.3, 0.7]] for h in universe} for e in parameters},
+        }))
+        src = str(Path(__file__).parent.parent / "src")
+        path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ivhfss", command, str(doc)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        )
+        proc.stdout.close()  # the reader goes away before any output is written
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 2
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err == "error: stdout closed before the output was written\n"
 
 
 class TestCheckLaws:

@@ -24,6 +24,7 @@ from ivhfss import (
     strict_equal,
     Verdict,
 )
+from ivhfss.elements import pairs_equivalent, pairs_strict_equal
 from ivhfss.errors import EmptyElement
 
 TOL = 1e-9
@@ -333,3 +334,45 @@ class TestCanonicalOrderKernels:
         want = tuple(kernels.operator_kernel(kind, x[0], x[1], y[0], y[1]) for x in e1 for y in e2)
         assert repr(kernels.operator_pairs(kind, e1, e2)) == repr(want)
         assert repr(kernels.operator_element(kind, e1, e2)) == repr(kernels.dedup_element(want))
+
+
+def reference_close(a, b, tol):
+    return len(a) == len(b) and all(
+        abs(al - bl) <= tol and abs(au - bu) <= tol for (al, au), (bl, bu) in zip(a, b)
+    )
+
+
+@st.composite
+def compared_sides(draw):
+    """Two pair tuples of one number type, mostly equal or nearly so."""
+    a = draw(tie_prone(min_size=1))
+    if draw(st.booleans()):
+        a = [(Fraction(lo), Fraction(up)) for lo, up in a]
+    kind = draw(st.sampled_from(["equal", "permuted", "duplicated", "signed_zero", "fresh"]))
+    if kind == "equal":
+        b = list(a)
+    elif kind == "permuted":
+        b = draw(st.permutations(a))
+    elif kind == "duplicated":
+        b = a + [draw(st.sampled_from(a))]
+    elif kind == "signed_zero":
+        b = [(-lo if lo == 0 else lo, -up if up == 0 else up) for lo, up in a]
+    else:
+        b = draw(tie_prone(min_size=1))
+    return tuple(a), tuple(b)
+
+
+class TestPairsComparisons:
+    """The comparisons against sort (or dedup) both sides, then compare within tol."""
+
+    @given(compared_sides(), st.sampled_from([0.0, 1e-12, 1e-9, -1.0]))
+    @example((((-0.0, 0.5), (0.3, 0.4)), ((0.0, 0.5), (0.3, 0.4))), 0.0)
+    @example((((0.5, 0.7), (0.4, 0.8)), ((0.4, 0.8), (0.5, 0.7))), -1.0)
+    @example((((0.1, 0.2), (0.3, 0.4)), ((0.1, 0.2), (0.3, 0.4))), -1.0)
+    @example((((Fraction(1, 3), Fraction(1, 2)),) * 2, ((Fraction(1, 3), Fraction(1, 2)),)), 0.0)
+    def test_match_the_sorting_reference(self, sides, tol):
+        a, b = sides
+        assert pairs_strict_equal(a, b, tol) == reference_close(by_rank(a), by_rank(b), tol)
+        assert pairs_equivalent(a, b, tol) == reference_close(
+            by_rank(set(a)), by_rank(set(b)), tol
+        )

@@ -23,6 +23,7 @@ from ivhfss import (
     soft_strict_equal,
     soft_union,
 )
+from ivhfss.softsets import intersection_rule, union_rule
 from ivhfss.errors import (
     EmptyFamily,
     EmptyParameterIntersection,
@@ -236,3 +237,65 @@ class TestPairwiseMode:
         b = single_cell((0.5, 0.5))
         out = soft_union(a, b, policy=AlignmentPolicy.PESSIMISTIC)
         assert out.cell("e1", "h1").pairs == ((0.5, 0.5), (0.8, 0.9))
+
+
+def numbered_soft_set(universe, parameters, offset):
+    """A table whose cells all differ: cell (e, h) is one interval numbered from ``offset``."""
+    values = {}
+    for i, e in enumerate(parameters):
+        values[e] = {}
+        for j, h in enumerate(universe):
+            k = offset + i * len(universe) + j
+            values[e][h] = element_of((k / 1000, k / 1000 + 0.5))
+    return make_soft_set(universe, parameters, values)
+
+
+class TestRules:
+    """``union_rule`` and ``intersection_rule`` against the three cases, cell by cell."""
+
+    f = numbered_soft_set(["h1", "h2", "h3"], ["f_only", "both1", "both2"], 0)
+    g = numbered_soft_set(["h3", "h1", "h2"], ["both2", "g_only", "both1"], 100)
+
+    @staticmethod
+    def combine(a, b):
+        return ("combined", a, b)
+
+    def reference(self, union):
+        fp, gp = set(self.f.parameters), set(self.g.parameters)
+        if union:
+            parameters = self.f.parameters + tuple(e for e in self.g.parameters if e not in fp)
+        else:
+            parameters = tuple(e for e in self.f.parameters if e in gp)
+        pairs = {}
+        for e in parameters:
+            for h in self.f.universe:
+                key = (e, h)
+                if e in fp and e in gp:
+                    pairs[key] = self.combine(self.f.pairs[key], self.g.pairs[key])
+                elif e in fp:
+                    pairs[key] = self.f.pairs[key]
+                else:
+                    pairs[key] = self.g.pairs[key]
+        return parameters, pairs
+
+    @pytest.mark.parametrize("union", [True, False])
+    def test_rules_match_the_three_case_reference(self, union):
+        rule = union_rule if union else intersection_rule
+        out = rule(self.f, self.g, self.combine)
+        parameters, pairs = self.reference(union)
+        assert out.universe == self.f.universe
+        assert out.parameters == parameters
+        assert list(out.pairs.items()) == list(pairs.items())
+
+    def test_equal_tables_declared_in_other_orders_compare_equal(self):
+        f = self.f
+        reordered = make_soft_set(
+            ["h3", "h1", "h2"],
+            ["both2", "f_only", "both1"],
+            {e: {h: f.cell(e, h) for h in f.universe} for e in f.parameters},
+        )
+        assert list(reordered.pairs) != list(f.pairs)
+        for compare in (soft_strict_equal, soft_equivalent):
+            assert compare(f, reordered)
+            assert compare(f, reordered, tol=0.0)
+            assert not compare(f, reordered, tol=-1.0)
