@@ -108,12 +108,38 @@ def operator_kernel(kind, al, au, bl, bu):
 # moves a sum by at most half a unit in the 12th decimal (plus half an ulp), so
 # two sums more than 10 such units apart keep a gap after rounding; and
 # rounding is monotone, so the rounded sums order as the raw sums do.  Only a
-# near-tie needs the full quantized key.
+# near-tie needs the full quantized key.  The argument holds for exact
+# (``Fraction``) endpoints too, where round() adds no ulp.
 _NEAR_TIE = 10 ** -(_MID_DECIMALS - 1)
 
 
+def _near_tie_runs(sums):
+    """The ``(start, stop)`` slices of ``sums`` that are runs of near ties.
+
+    A run is two or more neighbours with no gap above ``_NEAR_TIE`` between
+    adjacent ones.  ``sums`` are the raw sums ``lo + up`` of intervals in
+    ascending order of those sums, or in rank order.  Everything before a
+    larger gap ranks below everything after it, so only the members of one
+    run can change places under a finer key.
+    """
+    runs = []
+    start = 0
+    for i in range(1, len(sums)):
+        if sums[i] - sums[i - 1] > _NEAR_TIE:
+            if i - start > 1:
+                runs.append((start, i))
+            start = i
+    if len(sums) - start > 1:
+        runs.append((start, len(sums)))
+    return runs
+
+
 def _rank_order(intervals):
-    """The ``sorted(intervals, key=rank_key)`` tuple, cheap for 0-2 intervals."""
+    """The ``sorted(intervals, key=rank_key)`` tuple, for intervals without NaN.
+
+    Sorted by raw sum, then each near-tie run by ``rank_key``; 2 intervals are
+    the same rule written out, which is several times faster for that size.
+    """
     n = len(intervals)
     if n < 2:
         return tuple(intervals)
@@ -128,10 +154,10 @@ def _rank_order(intervals):
         if rank_key(b[0], b[1]) < rank_key(a[0], a[1]):
             return (b, a)
         return (a, b)
-    # inlined copy of rank_key's body, which stays the definition of the order
-    return tuple(
-        sorted(intervals, key=lambda iv: (round(iv[0] + iv[1], _MID_DECIMALS), iv[0], iv[1]))
-    )
+    ordered = sorted(intervals, key=lambda iv: iv[0] + iv[1])
+    for start, stop in _near_tie_runs([lo + up for lo, up in ordered]):
+        ordered[start:stop] = sorted(ordered[start:stop], key=lambda iv: rank_key(iv[0], iv[1]))
+    return tuple(ordered)
 
 
 def sort_element(intervals):

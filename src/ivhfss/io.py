@@ -23,7 +23,6 @@ same, and the parser sorts those values into the order they were written in.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 
 from . import _kernels_py as kernels
@@ -50,6 +49,12 @@ def decode_cell(raw, label: str) -> tuple[tuple[float, float], ...]:
     _expect(isinstance(raw, list) and raw, f"{label}: expected a nonempty list of [lower, upper] pairs")
     pairs = []
     for pair in raw:
+        if type(pair) is list and len(pair) == 2:
+            lo, up = pair
+            # the common case, which construct_interval would return unchanged
+            if type(lo) is float and type(up) is float and 0.0 <= lo <= up <= 1.0:
+                pairs.append((lo, up))
+                continue
         _expect(
             isinstance(pair, list)
             and len(pair) == 2
@@ -147,42 +152,35 @@ def encode_soft_set(soft_set: IVHFSoftSet) -> dict:
 
 def _render_number(x: float) -> str:
     # Up to 12 significant digits; stable under a parse/serialize round trip.
-    if x == int(x):
-        return str(int(x))
-    return format(x, ".12g")
+    # Adding 0.0 turns -0.0 into 0.0; ".12g" prints 0.0 and 1.0 as 0 and 1.
+    return format(x + 0.0, ".12g")
 
 
 def _cell_text(cell) -> str:
     """A rank-ordered cell as printed, in the rank order of its printed values.
 
     That is the order the parser reads the text back in.  Printing moves an
-    endpoint by at most half a unit in the 12th digit, so only a run of
-    neighbours whose raw sums lie within ``kernels._NEAR_TIE`` of each other
-    can change order, and only if some of its values do not print exactly;
-    such a run is sorted by its printed values.
+    endpoint by at most half a unit in the 12th digit, so only a near-tie run
+    (``kernels._near_tie_runs``) can change order, and only if some of its
+    values do not print exactly; such a run is sorted by its printed values.
     """
-    texts = [f"[{_render_number(lo)}, {_render_number(up)}]" for lo, up in cell]
-    gaps = [(b0 + b1) - (a0 + a1) for (a0, a1), (b0, b1) in zip(cell, cell[1:])]
-    if gaps and min(gaps) <= kernels._NEAR_TIE:
-        start = 0
-        for i, gap in enumerate(gaps + [math.inf]):
-            if gap <= kernels._NEAR_TIE:
-                continue
-            if i > start:  # intervals start..i are a run of near ties
-                run = [(float(_render_number(lo)), float(_render_number(up))) for lo, up in cell[start : i + 1]]
-                if run != list(cell[start : i + 1]):
-                    texts[start : i + 1] = [
-                        f"[{_render_number(lo)}, {_render_number(up)}]" for lo, up in kernels.sort_element(run)
-                    ]
-            start = i + 1
+    texts = [f"[{lo + 0.0:.12g}, {up + 0.0:.12g}]" for lo, up in cell]  # _render_number, inlined
+    for start, stop in kernels._near_tie_runs([lo + up for lo, up in cell]):
+        run = [(float(_render_number(lo)), float(_render_number(up))) for lo, up in cell[start:stop]]
+        if run != list(cell[start:stop]):
+            texts[start:stop] = [
+                f"[{_render_number(lo)}, {_render_number(up)}]" for lo, up in kernels.sort_element(run)
+            ]
     return ", ".join(texts)
 
 
 def serialize_document(soft_set: IVHFSoftSet) -> str:
     """Canonical rendering; deterministic function of the soft set's value."""
+    universe, pairs = soft_set.universe, soft_set.pairs
+    names = [json.dumps(h) for h in universe]
     out: list[str] = ["{\n"]
     out.append('  "universe": [')
-    out.append(", ".join(json.dumps(h) for h in soft_set.universe))
+    out.append(", ".join(names))
     out.append("],\n")
     out.append('  "parameters": [')
     out.append(", ".join(json.dumps(e) for e in soft_set.parameters))
@@ -190,11 +188,10 @@ def serialize_document(soft_set: IVHFSoftSet) -> str:
     out.append('  "values": {\n')
     for i, e in enumerate(soft_set.parameters):
         out.append(f"    {json.dumps(e)}: {{\n")
-        for j, h in enumerate(soft_set.universe):
-            comma = "," if j + 1 < len(soft_set.universe) else ""
-            out.append(f"      {json.dumps(h)}: [{_cell_text(soft_set.pairs[(e, h)])}]{comma}\n")
+        rows = [f"      {name}: [{_cell_text(pairs[(e, h)])}]" for h, name in zip(universe, names)]
+        out.append(",\n".join(rows))
         comma = "," if i + 1 < len(soft_set.parameters) else ""
-        out.append(f"    }}{comma}\n")
+        out.append(f"\n    }}{comma}\n")
     out.append("  }\n}\n")
     return "".join(out)
 

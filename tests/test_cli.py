@@ -1,7 +1,9 @@
 """CLI behaviors: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -370,3 +372,143 @@ class TestExitCodeMatrix:
             code, _, err = run(capsys, *args)
             assert code == want, args
             assert "Traceback" not in err, args
+
+
+# --- output bytes of every document command, pinned ---
+#
+# Two seeded document sets, written as JSON text here so the pins cover the
+# parser as well as the operations and the serializer.  "tall" is canonical:
+# many small cells of whole thousandths.  "wide" stores 16-32 intervals a cell
+# out of order, with JSON-integer endpoints, one -0.0, and planted chains of
+# 3-5 midpoint near ties (neighbour gaps from 1e-16 to 4e-12, so some chains
+# span more than the 1e-11 that the kernels treat as a near tie).
+
+
+def _pinned_cell(rng, size, wide):
+    cell = []
+    while len(cell) < size:
+        roll = rng.random()
+        if cell and roll < 0.1:
+            cell.append(rng.choice(cell))
+        elif wide and roll < 0.25:
+            x = rng.randint(0, 1000) / 1000
+            cell.append(rng.choice([[0, x], [x, 1], [0, 1], [0, 0], [1, 1]]))
+        elif wide and roll < 0.45:
+            lo, up = sorted(rng.randint(100, 900) / 1000 for _ in range(2))
+            step = rng.choice([1e-16, 3e-14, 4e-13, 4e-12])
+            cell += [[lo + 3 * k * step, up - 2 * k * step] for k in range(rng.randint(3, 5))]
+        else:
+            a, b = rng.randint(0, 1000), rng.randint(0, 1000)
+            cell.append([min(a, b) / 1000, max(a, b) / 1000])
+    return cell
+
+
+def pinned_documents(shape):
+    """JSON texts of documents A, B (half of A's parameters) and C (A's parameters)."""
+    rng = random.Random(f"cli-bytes:{shape}")
+    wide = shape == "wide"
+    n_params, n_objects, sizes = (3, 5, (16, 32)) if wide else (6, 40, (1, 6))
+    universe = [f"o{j:02d}" for j in range(n_objects)]
+    a_params = [f"p{i}" for i in range(n_params)]
+    b_params = a_params[: n_params // 2] + [f"q{i}" for i in range(n_params - n_params // 2)]
+    docs = {}
+    for name, params in (("A", a_params), ("B", b_params), ("C", a_params)):
+        values = {}
+        for e in params:
+            values[e] = {}
+            for h in universe:
+                cell = _pinned_cell(rng, rng.randint(*sizes), wide)
+                if wide:
+                    rng.shuffle(cell)
+                else:  # whole thousandths print exactly, so this is the canonical order
+                    cell.sort(key=lambda iv: (round(iv[0] + iv[1], 12), iv[0], iv[1]))
+                values[e][h] = cell
+        docs[name] = {"universe": universe, "parameters": params, "values": values}
+    if wide:
+        docs["A"]["values"]["p0"]["o00"].append([-0.0, 0.25])
+    return {name: json.dumps(doc) for name, doc in docs.items()}
+
+
+DOCUMENT_COMMANDS = {
+    "union": ["union", "A.json", "B.json"],
+    "union-pessimistic": ["union", "--align", "pessimistic", "A.json", "B.json"],
+    "union-pairwise": ["union", "--mode", "pairwise", "A.json", "B.json"],
+    "intersect": ["intersect", "A.json", "B.json"],
+    "intersect-pairwise": ["intersect", "--mode", "pairwise", "A.json", "B.json"],
+    "complement": ["complement", "A.json"],
+    "ringsum": ["ringsum", "A.json", "C.json"],
+    "ringprod": ["ringprod", "A.json", "C.json"],
+    "o1": ["elem-op", "--kind", "o1", "A.json", "C.json"],
+    "o2": ["elem-op", "--kind", "o2", "A.json", "C.json"],
+    "o3": ["elem-op", "--kind", "o3", "A.json", "C.json"],
+    "o4": ["elem-op", "--kind", "o4", "A.json", "C.json"],
+    "subset": ["subset", "A.json", "A.json"],
+    "subset-other": ["subset", "A.json", "C.json"],
+    "family-union": ["family-union", "A.json", "B.json", "C.json"],
+    "family-intersect": ["family-intersect", "--mode", "pairwise", "A.json", "B.json", "C.json"],
+    "score": ["score", "A.json"],
+    "rank": ["rank", "A.json"],
+}
+
+
+def document_outputs(shape, workdir, capsys):
+    """SHA-256 of each command's exit code, stdout and stderr, run in ``workdir``."""
+    for name, text in pinned_documents(shape).items():
+        (workdir / f"{name}.json").write_text(text)
+    digests = {}
+    for key, argv in DOCUMENT_COMMANDS.items():
+        code, out, err = run(capsys, *argv)
+        digests[key] = hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()
+    return digests
+
+
+# recorded before the decoder's fast path and the shared near-tie rule
+DOCUMENT_DIGESTS = {
+    "tall": {
+        "union": "be5586fb9a27a723cdec3e8dbf0dbde0cefd502cf6e0b7f7834779332baaf421",
+        "union-pessimistic": "e36e41c9fd482fb436f983fc1e157d635c7e452e5efb5198a76bc69c816c130d",
+        "union-pairwise": "7e2cc537990a84073853dc4b2eb45747d49b7eb40821e558591bca91495cdcde",
+        "intersect": "6db61db010a722a7b0b9d8ad85ba0bc0b1e7fe83a9661a1e65d1e69efcbae017",
+        "intersect-pairwise": "5b45a87abe11256f53b25fee9f4d090f42b35cc51721231697ed5f7c973cbb46",
+        "complement": "0264ce418d13376666bed8cf4102c248d93caafd373b0dc92fd0cfe7356d69bb",
+        "ringsum": "db1258397f43a74a35b49b7d8ef084d6158f08017bb7a98d1e21c2da5fbfbfe5",
+        "ringprod": "c44158597b0e8b95aab991ac84023d8eeb5f5a03f5a60d46886a4e49dd30323a",
+        "o1": "a63de608683eed513be14ab53b21583212c06c4fbb8f65c157d3111dbd04ec4a",
+        "o2": "074469b4c6e1806f30e2bbf78517610f22199f0c587e0007fbc02be5b9f26088",
+        "o3": "96be181c4cc2507525fde94b7e3d7f31f4f871d4611b575d4bbe5fa1a1cc1292",
+        "o4": "9da8bac17d3110ad6d90be67f821ec9af8b205bc846329e752c9aae4834cfcfd",
+        "subset": "74d01a0c051c963d9a9b8ab9dbeab1723f0ad8534ea9fa6a942f358d7fa011b4",
+        "subset-other": "b16f4c0e68ad55abf36ef17751dc5b9ad96f7b25cb347c8fe6413dc77c635a57",
+        "family-union": "9105aa12d62977ed155a362205b360008a683efec942c127a65e20e13d3ba32f",
+        "family-intersect": "34a2a9350181b3d5980dd956892dfc6e9b9a11392d85b586acd8ec10594cb1fa",
+        "score": "964eb0dfb6bd12e4ac38c9dffea0039765b9505ec848a28d355e530798c300d6",
+        "rank": "639afa139423583acacb9000c77c83f71d0c3dd9eb886d4872631b42d220bf4b",
+    },
+    "wide": {
+        "union": "c551077763e541710c572ebf65d83c48f5c48b05e6de423d1270befc63104e00",
+        "union-pessimistic": "cf1b06805b00d4b0d6961626d098d4c77e85d6363e719a19ef4fdba2d7d89064",
+        "union-pairwise": "0f40ba4fa9705b08a68b319e0633396145805b4e784d6c011b65866c702d36d7",
+        "intersect": "8f8724404835e54bc677f8f705394b91f1f5ba049ea7d283e1b573dfed921fc9",
+        "intersect-pairwise": "90d8b6c90ab4a848d9565004d0148859fcf42869accf02bcbe85c37856662cbb",
+        "complement": "86b57565c4a93d02624c201e6d35d6eb31e64666f62da716a829693437f76ba0",
+        "ringsum": "bd6a52186149589c47b720ed9a9902698297bceef92145d0518d826a5187913d",
+        "ringprod": "7bdf64a0de07f955988fc6251c06fa181c4994655cc0b8137568955124eda9fa",
+        "o1": "11a87b2f4cf0836ed37ecda1d42da5c8ec2395141cfc6344dacab32ba9c5b42e",
+        "o2": "e0d3001ed2ebfd1f3bffeaea3fe1e85ddd93280bf6eda8906039a1c8127671f2",
+        "o3": "469bea1a212faf735a317a0ce2d975fe881d111c827e8906fd642c8d2d5f1e1e",
+        "o4": "faad0d76c8bd5bff524120a5f7d81ef0304bdb4cfd5b75d20530adf78b715fa3",
+        "subset": "12f548fb3c059802e748c3816bee0b99472bb355ee0d56fac406da6fe3359ca2",
+        "subset-other": "3015595bd413e8092f1ce6331ee5ade6ca595e639e4f55ad81205119008c93d7",
+        "family-union": "0270d39b6d9e57fc55d7c78c82a5d2761a6b808b7580a9e7d2f23cc38894c866",
+        "family-intersect": "5be25b2408543500e6653b6e6a5dce1d0bddbccbf209ec09d78fa547c0b867cb",
+        "score": "e2a00a5576d86849701dcc9bd8abcb2f0c8e6577f344e5b69bda91fc9d0c63c5",
+        "rank": "0bcd151b909a464cd970096c0bb5376be9e1a5af7886f67746b207151a5dd4e1",
+    },
+}
+
+
+class TestDocumentBytes:
+    @pytest.mark.parametrize("shape", sorted(DOCUMENT_DIGESTS))
+    def test_every_command_prints_the_pinned_bytes(self, shape, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # warnings name the inputs by relative path
+        assert document_outputs(shape, tmp_path, capsys) == DOCUMENT_DIGESTS[shape]

@@ -282,6 +282,39 @@ def pad_then_zip(union, e1, e2, optimistic):
     return tuple(k(x[0], x[1], y[0], y[1]) for x, y in zip(pad(e1), pad(e2)))
 
 
+@st.composite
+def near_tie_chains(draw):
+    """3-64 intervals with chains of near ties: each link moves the raw sum by
+    1e-16 to 1e-11, so a long chain's ends can lie more than ``_NEAR_TIE``
+    apart while every neighbour pair lies within it.  Duplicates, -0.0, and
+    sometimes ``Fraction`` endpoints throughout."""
+    size = draw(st.integers(3, 64))
+    out = [(draw(endpoint), draw(endpoint))]
+    while len(out) < size:
+        kind = draw(st.sampled_from(["fresh", "duplicate", "chain", "chain"]))
+        if kind == "fresh":
+            out.append((draw(endpoint), draw(endpoint)))
+        elif kind == "duplicate":
+            out.append(draw(st.sampled_from(out)))
+        else:
+            lo, up = draw(st.sampled_from(out))
+            gap = draw(st.floats(1e-16, 1e-11)) * draw(st.sampled_from([1, -1]))
+            for _ in range(draw(st.integers(1, 8))):
+                other = draw(endpoint)
+                lo, up = other, (lo + up + gap) - other
+                out.append((lo, up))
+    out = draw(st.permutations(out[:size]))
+    if draw(st.booleans()):
+        out = [(Fraction(lo), Fraction(up)) for lo, up in out]
+    return out
+
+
+# raw sums 0, T, 2T with T = _NEAR_TIE: neighbours exactly T apart (in floats
+# as well as exactly), so one run spans 2T; (T, T) and (0, 2T) tie
+_T = kernels._NEAR_TIE
+EXACT_GAP_CHAIN = [(0.0, 2 * _T), (_T, _T), (0.0, 0.0), (-0.0, _T), (0.0, 0.0)]
+
+
 class TestCanonicalOrderKernels:
     @given(tie_prone())
     @example([(0.4, 0.8), (0.5, 0.7)])
@@ -293,6 +326,14 @@ class TestCanonicalOrderKernels:
             # repr tells -0.0 from 0.0, which == does not
             assert repr(kernels.sort_element(given_as)) == repr(by_rank(given_as))
             assert repr(kernels.dedup_element(given_as)) == repr(by_rank(set(given_as)))
+
+    @given(near_tie_chains())
+    @example(EXACT_GAP_CHAIN)
+    @example([(Fraction(lo), Fraction(up)) for lo, up in EXACT_GAP_CHAIN])
+    @example([(0.4, 0.8), (0.5, 0.7), (0.0, 0.5), (-0.0, 0.5), (0.4, 0.8), (0.6, 0.6)])
+    def test_sort_and_dedup_follow_rank_key_on_long_near_tie_chains(self, intervals):
+        assert repr(kernels.sort_element(intervals)) == repr(by_rank(intervals))
+        assert repr(kernels.dedup_element(intervals)) == repr(by_rank(set(intervals)))
 
     @given(st.booleans(), st.booleans(), tie_prone(min_size=1), tie_prone(min_size=1))
     def test_zip_combine_is_pad_then_zip(self, union, optimistic, e1, e2):

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ivhfss import parse_document, serialize_document
+from ivhfss import _kernels_py as kernels
+from ivhfss import construct_interval, parse_document, serialize_document
 from ivhfss.errors import IvhfssError, ParseError, SchemaError
-from ivhfss.io import CanonicalizationWarning
+from ivhfss.io import CanonicalizationWarning, _render_number, decode_cell
 
 DATA = Path(__file__).parent / "data"
 
@@ -173,3 +174,92 @@ class TestRoundTrip:
             warnings.simplefilter("error", CanonicalizationWarning)
             second = serialize_document(parse_document(first))
         assert first == second
+
+
+# --- the decoder's fast path and the renderer, against the formulas they replaced ---
+
+
+def validating_decode_cell(raw, label):
+    """``decode_cell`` as it was before its fast path: every pair through
+    ``construct_interval``."""
+    if not (isinstance(raw, list) and raw):
+        raise SchemaError(f"{label}: expected a nonempty list of [lower, upper] pairs")
+    pairs = []
+    for pair in raw:
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+        ):
+            raise SchemaError(f"{label}: malformed interval {pair!r}")
+        try:
+            interval = construct_interval(float(pair[0]), float(pair[1]))
+        except (ValueError, OverflowError) as exc:
+            raise SchemaError(f"{label}: {exc}") from exc
+        pairs.append((interval.lower, interval.upper))
+    ordered = kernels.sort_element(pairs)
+    if ordered != tuple(pairs):
+        warnings.warn(CanonicalizationWarning(label), stacklevel=3)
+    return ordered
+
+
+def decode_outcome(decode, raw):
+    """What ``decode`` does with ``raw``: its pairs or error, and its warnings, as text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = repr(decode(raw, "cell e/h"))
+        except SchemaError as exc:
+            result = f"SchemaError: {exc}"
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+# what json.loads can hand the decoder for one endpoint
+json_endpoint = st.one_of(
+    st.floats(min_value=0, max_value=1),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, 1, 2, -1, True, False, -0.0, 0.0, 1.0, 2**1100]),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400"]).map(json.loads),
+)
+json_pair = st.one_of(
+    st.lists(st.floats(min_value=0, max_value=1), min_size=2, max_size=2).map(sorted),
+    st.lists(json_endpoint, min_size=2, max_size=2),
+    st.lists(json_endpoint, min_size=1, max_size=3),
+    st.text(max_size=3),
+    st.lists(st.lists(json_endpoint, max_size=2), min_size=2, max_size=2),
+    st.none(),
+)
+
+
+class TestDecodeCell:
+    @given(st.one_of(st.lists(json_pair, max_size=8), st.text(max_size=2), st.none()))
+    @example([[0, 1], [0.5, 0.25], [0.25, 0.5]])
+    @example([[0.5, 0.6], [-0.0, 0.5], [True, 1.0]])
+    @example(json.loads("[[0.1, NaN]]"))
+    @example(json.loads("[[0.1, 1e400]]"))
+    @example(json.loads("[[-Infinity, 0.5]]"))
+    @example([[0.7, 0.3]])
+    @example([[1e-200, 1.0000000000000002]])
+    @example([[0.1, 0.2, 0.3]])
+    @example([["0.1", 0.2]])
+    @example([[[0.1], 0.2]])
+    @example([])
+    def test_same_pairs_warnings_and_messages_as_the_validating_loop(self, raw):
+        assert decode_outcome(decode_cell, raw) == decode_outcome(validating_decode_cell, raw)
+
+
+def render_as_before(x):
+    if x == int(x):
+        return str(int(x))
+    return format(x, ".12g")
+
+
+class TestRenderNumber:
+    @given(st.floats(min_value=0, max_value=1))
+    @example(-0.0)
+    @example(0.0)
+    @example(1.0)
+    @example(5e-324)
+    @example(1 - 2**-53)
+    def test_same_text_as_the_integral_branch(self, x):
+        assert _render_number(x) == render_as_before(x)
