@@ -226,6 +226,9 @@ def main(argv=None) -> int:
         os.close(devnull)
         print("error: stdout closed before the output was written", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory: the input is too large to process", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -23,10 +23,11 @@ same, and the parser sorts those values into the order they were written in.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 
 from . import _kernels_py as kernels
-from .errors import ParseError, SchemaError
+from .errors import OutOfRange, ParseError, SchemaError
 from .intervals import construct_interval
 from .softsets import IVHFSoftSet
 
@@ -163,9 +164,15 @@ def _cell_text(cell) -> str:
     endpoint by at most half a unit in the 12th digit, so only a near-tie run
     (``kernels._near_tie_runs``) can change order, and only if some of its
     values do not print exactly; such a run is sorted by its printed values.
+
+    A NaN or infinite endpoint, which only the trusted constructors can hold,
+    makes the cell's sum non-finite; it is refused, as JSON has no such value.
     """
+    sums = [lo + up for lo, up in cell]
+    if not math.isfinite(sum(sums)):
+        raise OutOfRange(f"cannot serialize a cell with a non-finite endpoint: {list(map(list, cell))}")
     texts = [f"[{lo + 0.0:.12g}, {up + 0.0:.12g}]" for lo, up in cell]  # _render_number, inlined
-    for start, stop in kernels._near_tie_runs([lo + up for lo, up in cell]):
+    for start, stop in kernels._near_tie_runs(sums):
         run = [(float(_render_number(lo)), float(_render_number(up))) for lo, up in cell[start:stop]]
         if run != list(cell[start:stop]):
             texts[start:stop] = [

@@ -5,13 +5,12 @@ Operands and counterexamples are the public types: ``IVHFE`` elements and
 by the public operations and comparisons alone.  A ``sequence`` or
 ``synchronized`` law is evaluated in its private regime (:mod:`.evaluate`)
 and, where that fails, again through the public API.  Sequence sides are
-soft sets with unsorted cells, which the public comparisons sort;
-synchronized sides are per-pair lists, compared by ``equivalent``'s own
-pair-level body.
+soft sets with unsorted cells, synchronized sides unsorted elements; the
+public comparisons sort both.  All the checker knows of a law is its ``Law``.
 
-For each law the search order is: curated seed instances, then the bounded
-exhaustive grid stream (where the law's arity allows one), then seeded
-random trials.  The first operand tuple that violates the law both in the
+For each law three stages run in order: curated seed instances, the bounded
+exhaustive grid stream (where the law's arity allows one), and seeded random
+trials.  The first operand tuple that violates the law both in the
 registered regime and through the public API is shrunk to a locally minimal
 counterexample and reported; reports are therefore self-validating by
 construction.  ``replay`` decodes stored operands with :mod:`ivhfss.io`, so
@@ -23,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Optional
 
 from .. import elements as E
@@ -37,7 +36,6 @@ from . import generators as gen
 from .registry import Law, registry
 
 ENUMERATION_CAP = 300_000
-_FAMILY_LAWS = ("P3.16", "P3.17")  # their random and stored operands number 1 to arity
 # the operand shapes searched, and the slack of every comparison
 MAX_ELEMENT_SIZE = 2
 MAX_PARAMETERS = 2
@@ -74,21 +72,14 @@ class LawReport:
     equality_used: str
     mode: str
     shrink_steps: int = 0
+    exhaustive: bool = False  # set only when the law held
     counterexample: Optional[dict] = None
-    exhaustive: bool = False
 
     def to_json(self) -> dict:
-        out = {
-            "law_id": self.law_id,
-            "status": self.status,
-            "trials_run": self.trials_run,
-            "equality_used": self.equality_used,
-            "mode": self.mode,
-            "shrink_steps": self.shrink_steps,
-            "exhaustive": self.exhaustive,
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
+        """The fields in order; ``counterexample`` only when there is one."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.counterexample is None:
+            del out["counterexample"]
         return out
 
 
@@ -114,14 +105,9 @@ def _public_violates(law: Law, ops, tol: float) -> bool:
 
 def _violates(law: Law, ops, tol: float) -> bool:
     """Violated in the law's regime and, if that is a private one, publicly too."""
-    lhs, rhs = law.build_raw(ops)
-    if law.mode == "synchronized":  # the sides are per-pair lists, not elements
-        holds = E.pairs_equivalent(lhs, rhs, tol)
-    else:
-        holds = _holds(law, lhs, rhs, tol)
-    if holds:
+    if _holds(law, *law.build_raw(ops), tol):
         return False
-    return law.mode in ("aligned", "pairwise") or _public_violates(law, ops, tol)
+    return not law.private_regime or _public_violates(law, ops, tol)
 
 
 def _valid(law: Law, ops) -> bool:
@@ -177,7 +163,7 @@ def _random_stream(law: Law, config: CheckConfig, grid_checked: bool = False) ->
     but it yields ``None``, to be counted and not evaluated again.
     """
     rng = gen.rng_for(config.seed, law.law_id)
-    random_, step, arity = rng.random, config.grid_step, law.arity
+    random_, step, arity, counts = rng.random, config.grid_step, law.arity, law.operand_counts
     grid = gen.snap_points(step)
     if law.level == "element":  # every element law takes any operands
         for _ in range(config.random_trials):
@@ -185,11 +171,11 @@ def _random_stream(law: Law, config: CheckConfig, grid_checked: bool = False) ->
             ops = tuple([gen.random_element(rng, step, MAX_ELEMENT_SIZE, points) for _ in range(arity)])
             yield None if grid_checked and points is not None else ops
         return
-    family = law.law_id.startswith(_FAMILY_LAWS)
     shared = law.parameter_mode == "shared"
     for _ in range(config.random_trials):
         points = grid if random_() < 0.5 else None
-        count = 1 + gen.below(rng, arity) if family else arity
+        # one count draws nothing: below(rng, 1) would still take a bit
+        count = counts[gen.below(rng, len(counts))] if len(counts) > 1 else arity
         universe = _UNIVERSES[gen.below(rng, MAX_OBJECTS)]
         for _ in range(50):
             candidate = tuple([
@@ -204,37 +190,16 @@ def _random_stream(law: Law, config: CheckConfig, grid_checked: bool = False) ->
 # --- shrinking ---
 
 
-def _snap_value(x: float, step: float) -> float:
-    snapped = round(round(x / step) * step, 12)
-    return min(1.0, max(0.0, snapped))
-
-
-def _snap_pairs(pairs, step):
-    out = []
-    for lo, up in pairs:
-        a, b = _snap_value(lo, step), _snap_value(up, step)
-        if a > b:
-            a, b = b, a
-        out.append((a, b))
-    return kernels.sort_element(out)
-
-
-def _shrink_candidates_element(ops, step):
+def _shrink_candidates_element(ops, snap):
     for i, elem in enumerate(ops):
         pairs = elem.pairs
         if len(pairs) > 1:
             for j in range(len(pairs)):
                 yield ops[:i] + (IVHFE(pairs[:j] + pairs[j + 1 :]),) + ops[i + 1 :]
     for i, elem in enumerate(ops):
-        snapped = _snap_pairs(elem.pairs, step)
+        snapped = snap(elem.pairs)
         if snapped != elem.pairs:
             yield ops[:i] + (IVHFE(snapped),) + ops[i + 1 :]
-
-
-def _drop_param(soft: IVHFSoftSet, e: str) -> IVHFSoftSet:
-    params = tuple(p for p in soft.parameters if p != e)
-    pairs = {k: v for k, v in soft.pairs.items() if k[0] != e}
-    return IVHFSoftSet(soft.universe, params, pairs)
 
 
 def _drop_object(soft: IVHFSoftSet, h: str) -> IVHFSoftSet:
@@ -247,11 +212,12 @@ def _replace_cell(soft: IVHFSoftSet, key, cell) -> IVHFSoftSet:
     return IVHFSoftSet(soft.universe, soft.parameters, {**soft.pairs, key: cell})
 
 
-def _shrink_candidates_soft(ops, step):
+def _shrink_candidates_soft(ops, snap):
     for i, soft in enumerate(ops):
         if len(soft.parameters) > 1:
             for e in soft.parameters:
-                yield ops[:i] + (_drop_param(soft, e),) + ops[i + 1 :]
+                kept = [p for p in soft.parameters if p != e]
+                yield ops[:i] + (gen.restrict(soft, kept),) + ops[i + 1 :]
     universe = ops[0].universe
     if len(universe) > 1:
         for h in universe:
@@ -264,22 +230,25 @@ def _shrink_candidates_soft(ops, step):
                     smaller = cell[:j] + cell[j + 1 :]
                     yield ops[:i] + (_replace_cell(soft, key, smaller),) + ops[i + 1 :]
     for i, soft in enumerate(ops):
-        snapped = {k: _snap_pairs(v, step) for k, v in soft.pairs.items()}
+        snapped = {k: snap(v) for k, v in soft.pairs.items()}
         if snapped != soft.pairs:
             yield ops[:i] + (IVHFSoftSet(soft.universe, soft.parameters, snapped),) + ops[i + 1 :]
 
 
 def _shrink(law: Law, ops, config: CheckConfig) -> tuple[tuple, int]:
+    step = config.grid_step
+    points = gen.snap_points(step)
+
+    def snap(pairs):
+        # snapping is monotone, so every interval stays ordered
+        return kernels.sort_element([(points[round(lo / step)], points[round(up / step)]) for lo, up in pairs])
+
+    candidates_of = _shrink_candidates_element if law.level == "element" else _shrink_candidates_soft
     steps = 0
     improved = True
     while improved:
         improved = False
-        candidates = (
-            _shrink_candidates_element(ops, config.grid_step)
-            if law.level == "element"
-            else _shrink_candidates_soft(ops, config.grid_step)
-        )
-        for cand in candidates:
+        for cand in candidates_of(ops, snap):
             if not _valid(law, cand) or not _violates(law, cand, TOLERANCE):
                 continue
             ops = cand
@@ -296,14 +265,12 @@ def _counterexample_json(law: Law, ops) -> dict:
     lhs, rhs = law.build_raw(ops)
     if law.level == "element":
         # report the sides as they were compared: deduplicated for an
-        # ``equivalent`` law (a synchronized side is a per-pair list)
+        # ``equivalent`` law
         canonical = kernels.dedup_element if law.equality == "equivalent" else kernels.sort_element
-        if law.mode != "synchronized":
-            lhs, rhs = lhs.pairs, rhs.pairs
         return {
             "operands": [[list(iv) for iv in o.pairs] for o in ops],
-            "lhs": [list(iv) for iv in canonical(lhs)],
-            "rhs": [list(iv) for iv in canonical(rhs)],
+            "lhs": [list(iv) for iv in canonical(lhs.pairs)],
+            "rhs": [list(iv) for iv in canonical(rhs.pairs)],
         }
     return {
         "operands": [io.encode_soft_set(o) for o in ops],
@@ -315,7 +282,7 @@ def _counterexample_json(law: Law, ops) -> dict:
 def _operands_from_json(law: Law, counterexample: dict) -> tuple:
     """The stored operands, validated by io as any input document is."""
     stored = counterexample.get("operands") if isinstance(counterexample, dict) else None
-    counts = range(1, law.arity + 1) if law.law_id.startswith(_FAMILY_LAWS) else (law.arity,)
+    counts = law.operand_counts
     if not isinstance(stored, list) or len(stored) not in counts:
         raise SchemaError(f"a counterexample of {law.law_id} needs a list of {' or '.join(map(str, counts))} operands")
     ops = []
@@ -338,54 +305,41 @@ def replay(law: Law, counterexample: dict) -> bool:
 # --- driving ---
 
 
+def _grid(law: Law, config: CheckConfig, report: LawReport, allow_partial: bool) -> Iterable:
+    """The grid stream, counted against the cap before any of it is built;
+    records in ``report`` whether it is exhaustive.  Over the cap it raises
+    ``BudgetExceeded``, or is empty when ``allow_partial``."""
+    enumeration = _element_enumeration if law.level == "element" else _soft_enumeration
+    try:
+        grid, report.exhaustive = enumeration(law, config)
+    except BudgetExceeded:
+        if not allow_partial:
+            raise
+        return ()
+    return grid
+
+
 def check_law(law: Law, config: CheckConfig | None = None, allow_partial: bool = False) -> LawReport:
     """Classify one law; deterministic given the config."""
     config = config or CheckConfig()
-    trials = 0
-    exhaustive = False
-
-    def streams():
-        # seed and grid operands are validated here; random ones come
-        # validated, or as None for a tuple the grid has already checked
-        nonlocal exhaustive
-        valid = functools.partial(_valid, law)
-        yield from filter(valid, gen.seed_instances(law.level, law.arity, law.parameter_mode))
-        try:
-            enum_stream, exhaustive_flag = (
-                _element_enumeration(law, config)
-                if law.level == "element"
-                else _soft_enumeration(law, config)
-            )
-        except BudgetExceeded:
-            if not allow_partial:
-                raise
-            enum_stream, exhaustive_flag = (), False
-        exhaustive = exhaustive_flag
-        yield from filter(valid, enum_stream)
-        # reached only when every grid tuple held
-        yield from _random_stream(law, config, grid_checked=exhaustive)
-
-    for ops in streams():
-        trials += 1
-        if ops is not None and _violates(law, ops, TOLERANCE):
-            shrunk, steps = _shrink(law, ops, config)
-            return LawReport(
-                law_id=law.law_id,
-                status="violated",
-                trials_run=trials,
-                equality_used=law.equality,
-                mode=law.mode,
-                shrink_steps=steps,
-                counterexample=_counterexample_json(law, shrunk),
-            )
-    return LawReport(
-        law_id=law.law_id,
-        status="holds",
-        trials_run=trials,
-        equality_used=law.equality,
-        mode=law.mode,
-        exhaustive=exhaustive,
+    report = LawReport(law.law_id, "holds", 0, law.equality, law.mode)
+    valid = functools.partial(_valid, law)
+    # each stage is built only once every tuple before it held; random
+    # tuples come validated, or as None for one the exhaustive grid checked
+    stages = (
+        lambda: filter(valid, gen.seed_instances(law.level, law.arity, law.parameter_mode)),
+        lambda: filter(valid, _grid(law, config, report, allow_partial)),
+        lambda: _random_stream(law, config, grid_checked=report.exhaustive),
     )
+    for stage in stages:
+        for ops in stage():
+            report.trials_run += 1
+            if ops is not None and _violates(law, ops, TOLERANCE):
+                shrunk, report.shrink_steps = _shrink(law, ops, config)
+                report.status, report.exhaustive = "violated", False
+                report.counterexample = _counterexample_json(law, shrunk)
+                return report
+    return report
 
 
 def run_suite(config: CheckConfig | None = None) -> list[LawReport]:

@@ -11,7 +11,10 @@ implement.  The two such regimes live here, private to the law checker:
   union and intersection rule with ``zip_combine`` as the cell combine, so
   its cells are left unsorted; the soft-set comparisons sort them.
 * ``synchronized`` pairs both sides of the difference-operator identities
-  over the single (gamma1, gamma2) index set they quantify over.
+  over the single (gamma1, gamma2) index set they quantify over.  Its
+  results are ``IVHFE``s that hold the per-pair list as it is, unsorted and
+  not deduplicated, as ``sequence`` cells are unsorted; the element
+  comparisons sort and deduplicate both sides.
 """
 
 from __future__ import annotations
@@ -33,22 +36,21 @@ class SequenceSoftSets:
 
 
 class SynchronizedElements:
-    """Ring and O results stay per-pair lists over gamma1 x gamma2, in one
+    """Ring and O results keep the per-pair list over gamma1 x gamma2, in one
     fixed pair order; join and meet combine two such lists pair by pair and
-    then deduplicate.  The sides of a law are such lists, not elements: they
-    are deduplicated only when they are compared or reported."""
+    then deduplicate."""
 
-    def union(self, a, b):
-        return kernels.dedup_element(kernels.zip_combine(True, a, b, True))
+    def union(self, a: IVHFE, b: IVHFE):
+        return IVHFE(kernels.dedup_element(kernels.zip_combine(True, a.pairs, b.pairs, True)))
 
-    def intersection(self, a, b):
-        return kernels.dedup_element(kernels.zip_combine(False, a, b, True))
+    def intersection(self, a: IVHFE, b: IVHFE):
+        return IVHFE(kernels.dedup_element(kernels.zip_combine(False, a.pairs, b.pairs, True)))
 
     def ring_sum(self, a: IVHFE, b: IVHFE):
-        return kernels.ring_sum_pairs(a.pairs, b.pairs)
+        return IVHFE(kernels.ring_sum_pairs(a.pairs, b.pairs))
 
     def ring_product(self, a: IVHFE, b: IVHFE):
-        return kernels.ring_product_pairs(a.pairs, b.pairs)
+        return IVHFE(kernels.ring_product_pairs(a.pairs, b.pairs))
 
     def operator(self, kind: str, a: IVHFE, b: IVHFE):
-        return kernels.operator_pairs(kind, a.pairs, b.pairs)
+        return IVHFE(kernels.operator_pairs(kind, a.pairs, b.pairs))

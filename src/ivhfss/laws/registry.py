@@ -28,6 +28,9 @@ evaluates it through the public API in its literal mode (``ALIGNED`` for the
 ``aligned`` and ``sequence`` regimes, ``PAIRWISE`` for the others), and is
 what reported counterexamples are validated against.  For ``aligned`` and
 ``pairwise`` laws the two are the same evaluation.
+
+A ``Law`` is all the checker knows of a law, down to whether its regime is
+private and how many operands it takes (1 to 3 for P3.16 and P3.17).
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ class Law:
     arity: int
     build_raw: Callable  # operands -> (lhs, rhs) in the pinned regime
     build_public: Callable  # operands -> (lhs, rhs) through the public API
+    private_regime: bool  # the pinned regime is one the public API does not offer
+    operand_counts: tuple[int, ...]  # the operand counts searched and replayed
     constraint: Callable = _anything
 
 
@@ -138,6 +143,7 @@ def _law(
     arity: int,
     body: Callable,
     constraint: Callable = _anything,
+    operand_counts: tuple[int, ...] | None = None,
 ) -> Law:
     """The one factory: bind ``body`` to the regime's and the public algebra."""
     regime, public = _algebras(level, mode)
@@ -151,6 +157,8 @@ def _law(
         arity,
         lambda ops: body(regime, *ops),
         lambda ops: body(public, *ops),
+        regime is not public,
+        operand_counts or (arity,),
         constraint,
     )
 
@@ -348,6 +356,7 @@ def _family(prop: str, i: str, parameter_mode: str, equality: str) -> Law:
         f"{prop}.{i}",
         desc + f" ({parameter_mode} parameters)",
         "soft", parameter_mode, equality, "pairwise", 3, body, _common_parameter,
+        operand_counts=(1, 2, 3),
     )
 
 

@@ -181,6 +181,16 @@ class TestAcceptance:
             "2ad3a1f4d43e33cc8d42888b9b2f32824162320cfd2875ef131927b2fceafcb6"
         )
 
+    def test_fine_grid_report_bytes_pinned(self):
+        # guards the shrinker: the one pinned config where the comparison
+        # tolerance changes a shrunk witness (P4.3.v)
+        reports = run_suite(CheckConfig(grid_step=0.1, random_trials=3000, seed=7))
+        payload = json.dumps(suite_to_json(reports), sort_keys=True).encode()
+        assert len(payload) == 13392
+        assert hashlib.sha256(payload).hexdigest() == (
+            "de0ffb8289d551f9941d8a900d560c8f4fcc414742d0d998a8275b54dfb81be5"
+        )
+
     def test_criterion_7_property_suites(self, capsys):
         quarter = grid_intervals(0.25)
         for a, b in product(quarter, repeat=2):

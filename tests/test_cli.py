@@ -287,6 +287,18 @@ class TestErrorPaths:
         assert err == "error: stdout closed before the output was written\n"
 
 
+    def test_memory_error_exits_2(self, capsys, monkeypatch):
+        from ivhfss import _kernels_py as kernels
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(kernels, "ring_sum_element", exhausted)
+        code, stdout, err = run(capsys, "ringsum", FA, FA)
+        assert code == 2 and stdout == ""
+        assert err == "error: out of memory: the input is too large to process\n"
+
+
 class TestCheckLaws:
     def test_small_run_writes_report(self, tmp_path, capsys):
         report = tmp_path / "report.json"

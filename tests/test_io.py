@@ -9,8 +9,9 @@ from hypothesis import example, given, strategies as st
 
 from ivhfss import _kernels_py as kernels
 from ivhfss import construct_interval, parse_document, serialize_document
-from ivhfss.errors import IvhfssError, ParseError, SchemaError
+from ivhfss.errors import IvhfssError, OutOfRange, ParseError, SchemaError
 from ivhfss.io import CanonicalizationWarning, _render_number, decode_cell
+from ivhfss.softsets import IVHFSoftSet
 
 DATA = Path(__file__).parent / "data"
 
@@ -143,6 +144,13 @@ class TestRoundTrip:
         ss = parse_document(text)
         again = parse_document(serialize_document(ss))
         assert again.cell("e1", "h1") == ss.cell("e1", "h1")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_endpoint_is_refused(self, bad):
+        # only the trusted constructor can build such a cell; JSON has no value for it
+        ss = IVHFSoftSet(("h1",), ("e1", "e2"), {("e1", "h1"): ((0.1, 0.2),), ("e2", "h1"): ((0.0, 0.5), (bad, 0.5))})
+        with pytest.raises(OutOfRange, match="non-finite endpoint"):
+            serialize_document(ss)
 
     @given(
         st.lists(

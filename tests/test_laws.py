@@ -1,5 +1,6 @@
 """Registry shape, per-law classification, determinism, and replay."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -53,6 +54,42 @@ class TestRegistry:
         # check_law does not re-validate random operands, and the random
         # stream validates soft operands only
         assert all(law.constraint is _anything for law in LAWS.values() if law.level == "element")
+
+    def test_operand_counts(self):
+        family = {law_id for law_id, law in LAWS.items() if law.operand_counts == (1, 2, 3)}
+        assert family == {"P3.16.i", "P3.16.ii", "P3.17.i", "P3.17.ii"}
+        assert all(law.operand_counts == (law.arity,) for law_id, law in LAWS.items() if law_id not in family)
+
+    def test_private_regimes(self):
+        private = {law_id for law_id, law in LAWS.items() if law.private_regime}
+        assert private == {law_id for law_id, law in LAWS.items() if law.mode in ("sequence", "synchronized")}
+        assert len(private) == 22
+
+    def test_synchronized_sides_are_unsorted_elements(self):
+        # the per-pair list as it is: 4 pairs, out of rank order, one repeated
+        a, b = IVHFE(((0.1, 0.2), (0.7, 0.9))), IVHFE(((0.5, 0.5), (0.5, 0.5)))
+        lhs, rhs = get("P4.2.i").build_raw((a, b))
+        assert isinstance(lhs, IVHFE) and isinstance(rhs, IVHFE)
+        assert rhs.pairs == kernels.operator_pairs("O1", a.pairs, b.pairs)
+        assert len(rhs.pairs) == 4 and rhs.pairs != kernels.sort_element(rhs.pairs)
+
+    def test_builders_are_replaceable_fields(self):
+        # a profiler swaps both builders with dataclasses.replace
+        config = CheckConfig(grid_step=1.0, random_trials=5)
+        for law in LAWS.values():
+            calls = []
+
+            def spy(builder):
+                def spied(ops):
+                    calls.append(builder)
+                    return builder(ops)
+
+                return spied
+
+            swapped = dataclasses.replace(law, build_raw=spy(law.build_raw), build_public=spy(law.build_public))
+            report = check_law(swapped, config, allow_partial=True)
+            assert law.build_raw in calls, law.law_id
+            assert report == check_law(law, config, allow_partial=True), law.law_id
 
     def test_registered_predicates(self):
         assert get("P3.6.i").equality == "strict"
@@ -152,11 +189,8 @@ def _as_fractions(op):
 
 
 def _endpoint_types(side):
-    """The endpoint types of a law side: an element, a soft set or a per-pair list."""
-    if isinstance(side, IVHFSoftSet):
-        cells = side.pairs.values()
-    else:
-        cells = [side.pairs if isinstance(side, IVHFE) else side]
+    """The endpoint types of a law side: an element or a soft set."""
+    cells = side.pairs.values() if isinstance(side, IVHFSoftSet) else [side.pairs]
     return {type(x) for cell in cells for pair in cell for x in pair}
 
 
