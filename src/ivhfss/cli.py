@@ -177,7 +177,9 @@ def _run(args) -> int:
         json.dump(rank_objects(_load(args.input)), sys.stdout, indent=2)
         sys.stdout.write("\n")
     elif args.command == "check-laws":
-        from .laws import CheckConfig, run_suite, suite_to_json  # only this command needs them
+        from concurrent.futures import BrokenExecutor  # only this command needs them
+
+        from .laws import CheckConfig, run_suite, suite_to_json
 
         try:
             config = CheckConfig(
@@ -186,7 +188,11 @@ def _run(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        reports = run_suite(config)
+        try:
+            reports = run_suite(config)
+        except BrokenExecutor:  # a worker was killed, by the out-of-memory killer for one
+            print("error: a worker process died while checking the laws", file=sys.stderr)
+            return EXIT_INPUT
         for r in reports:
             line = f"{r.law_id:10s} {r.status}"
             if r.status == "holds" and not r.exhaustive:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Optional
 
@@ -342,10 +343,40 @@ def check_law(law: Law, config: CheckConfig | None = None, allow_partial: bool =
     return report
 
 
+def _cores() -> int:
+    """The usable cores: one worker process each in ``run_suite``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _check_index(config: CheckConfig, index: int) -> LawReport:
+    """A pool task: a ``Law`` holds lambdas and cannot be pickled, so it travels as its index."""
+    return check_law(registry()[index], config, allow_partial=True)
+
+
 def run_suite(config: CheckConfig | None = None) -> list[LawReport]:
-    """Check every registered law; a pure function of (registry, config)."""
+    """Check every registered law; a pure function of (registry, config).
+
+    With more than one usable core, forked worker processes check one law per
+    task and the reports come back in registry order, so their bytes do not
+    depend on the core count.  On one core, or where processes cannot be
+    forked, the laws are checked in this process.
+    """
     config = config or CheckConfig()
-    return [check_law(law, config, allow_partial=True) for law in registry()]
+    laws = registry()
+    cores = _cores()
+    if cores > 1:
+        import multiprocessing  # only the parallel path pays for it
+
+        # a forked worker imports nothing again, so a caller without a __main__ guard still works
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(functools.partial(_check_index, config), range(len(laws))))
+    return [check_law(law, config, allow_partial=True) for law in laws]
 
 
 def suite_to_json(reports: list[LawReport]) -> list[dict]:

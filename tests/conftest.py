@@ -1,13 +1,35 @@
 import math
+import multiprocessing
 from pathlib import Path
 
 import pytest
 
 from ivhfss import IVHFSoftSet, load_file
+from ivhfss.laws import checker
 
 DATA = Path(__file__).parent / "data"
 
 TOL = 1e-9
+
+# run_suite starts a worker pool only where it can fork its workers
+FORKED = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs forked workers")
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Sets the usable-core count that ``run_suite`` sees."""
+    return lambda n: monkeypatch.setattr(checker, "_cores", lambda: n)
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """A worker pool that fails if it is ever constructed."""
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
 
 @pytest.fixture(scope="session")

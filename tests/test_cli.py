@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import conftest as golden
-from conftest import assert_table
+from conftest import FORKED, assert_table
 from ivhfss import parse_document
 from ivhfss.cli import main
 
@@ -330,6 +330,48 @@ class TestCheckLaws:
         assert code == 1
         assert stdout == ""
         assert err.startswith("error: ")
+
+    @FORKED
+    def test_memory_error_in_a_worker_exits_2(self, capsys, cores, monkeypatch):
+        from ivhfss.laws import checker
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        cores(2)
+        monkeypatch.setattr(checker, "check_law", exhausted)
+        code, stdout, err = run(capsys, "check-laws", "--grid-step", "1", "--trials", "1")
+        assert code == 2 and stdout == ""
+        assert err == "error: out of memory: the input is too large to process\n"
+
+    @FORKED
+    def test_a_dead_worker_exits_2(self, capsys, cores, monkeypatch):
+        from ivhfss.laws import checker
+
+        parent = os.getpid()
+
+        def killed(*args, **kwargs):
+            assert os.getpid() != parent, "the laws ran in the test process"
+            os._exit(1)
+
+        cores(2)
+        monkeypatch.setattr(checker, "check_law", killed)
+        code, stdout, err = run(capsys, "check-laws", "--grid-step", "1", "--trials", "1")
+        assert code == 2 and stdout == ""
+        assert err == "error: a worker process died while checking the laws\n"
+
+    @FORKED
+    def test_cores_do_not_change_the_output(self, tmp_path, capsys, cores):
+        outputs = []
+        for n in (1, 2):
+            cores(n)
+            report = tmp_path / f"report-{n}.json"
+            code, stdout, err = run(
+                capsys, "check-laws", "--grid-step", "0.5", "--trials", "50", "--seed", "9001", "--report", str(report)
+            )
+            assert code == 0 and err == ""
+            outputs.append((stdout, report.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_defaults_are_the_check_config_defaults(self):
         # the CLI names them itself, so that it need not import the checker

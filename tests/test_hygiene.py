@@ -1,6 +1,7 @@
 """Source hygiene that needs no linter.
 
-Every imported name is used, and importing the CLI leaves the law checker out.
+Every imported name is used, importing the CLI leaves the law checker out,
+and importing the law checker leaves the process pool out.
 """
 
 import ast
@@ -36,9 +37,18 @@ def test_every_import_is_used(path):
     assert not unused, f"unused imports in {path.name}: {unused}"
 
 
-def test_cli_import_leaves_the_law_checker_out():
-    # every command pays for what ivhfss.cli imports; only check-laws needs ivhfss.laws
+def _fresh_exit_code(code):
     path = [str(SRC.parent)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    code = "import sys, ivhfss.cli; sys.exit('ivhfss.laws' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode
+
+
+def test_cli_import_leaves_the_law_checker_out():
+    # every command pays for what ivhfss.cli imports; only check-laws needs ivhfss.laws
+    assert _fresh_exit_code("import sys, ivhfss.cli; sys.exit('ivhfss.laws' in sys.modules)") == 0
+
+
+def test_law_checker_import_leaves_the_pool_out():
+    # importing ivhfss.laws is not a parallel run_suite, which alone needs a pool
+    code = "import sys, ivhfss.laws; sys.exit(bool({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    assert _fresh_exit_code(code) == 0

@@ -3,11 +3,17 @@
 import dataclasses
 import itertools
 import json
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from conftest import FORKED
 from ivhfss import _kernels_py as kernels
 from ivhfss.elements import IVHFE
 from ivhfss.errors import BudgetExceeded, SchemaError
@@ -230,6 +236,66 @@ class TestDeterminism:
                 CheckConfig(grid_step=step)
         for step in (0.1, 0.2, 1 / 3, 1.0):
             CheckConfig(grid_step=step)
+
+
+TINY = CheckConfig(grid_step=0.5, random_trials=50, seed=9001)
+
+
+def _suite_bytes(config):
+    return json.dumps(suite_to_json(run_suite(config)), sort_keys=True)
+
+
+class TestParallelSuite:
+    def test_one_core_runs_in_process(self, cores, no_pool):
+        cores(1)
+        assert len(run_suite(TINY)) == 54
+
+    def test_without_fork_runs_in_process(self, cores, no_pool, monkeypatch):
+        cores(2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert len(run_suite(TINY)) == 54
+
+    @FORKED
+    def test_two_workers_give_the_serial_bytes(self, cores):
+        cores(1)
+        serial = _suite_bytes(TINY)
+        cores(2)
+        assert _suite_bytes(TINY) == serial
+        assert multiprocessing.active_children() == []
+
+    @FORKED
+    def test_a_worker_error_reraises_and_leaves_no_worker(self, cores, monkeypatch):
+        original = checker.check_law
+
+        def exhausted(law, *args, **kwargs):
+            if law.law_id == "P3.5.i":
+                raise MemoryError
+            return original(law, *args, **kwargs)
+
+        cores(2)
+        monkeypatch.setattr(checker, "check_law", exhausted)
+        with pytest.raises(MemoryError):
+            run_suite(TINY)
+        assert multiprocessing.active_children() == []
+
+    def test_a_caller_fed_from_stdin_gets_the_serial_bytes(self, cores):
+        # a spawned worker would import the caller's __main__ again, which a script on stdin lacks
+        script = (
+            "import json, sys\n"
+            "from ivhfss.laws import CheckConfig, checker, run_suite, suite_to_json\n"
+            "checker._cores = lambda: 2\n"
+            "config = CheckConfig(grid_step=0.5, random_trials=50, seed=9001)\n"
+            "sys.stdout.write(json.dumps(suite_to_json(run_suite(config)), sort_keys=True))\n"
+        )
+        src = str(Path(__file__).parent.parent / "src")
+        path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        proc = subprocess.run(
+            [sys.executable, "-"], input=script, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        cores(1)
+        assert proc.stdout == _suite_bytes(TINY)
 
 
 class TestEnumerationBudget:
