@@ -44,68 +44,62 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_combine_flags(sub):
-    sub.add_argument("--mode", choices=["aligned", "pairwise"], default="aligned")
-    sub.add_argument("--align", choices=["optimistic", "pessimistic"], default="optimistic")
+# each flag by its dest: option strings and add_argument keywords
+_FLAGS = {
+    "kind": (("--kind",), {"required": True, "choices": ["o1", "o2", "o3", "o4"]}),
+    "mode": (("--mode",), {"choices": ["aligned", "pairwise"], "default": "aligned"}),
+    "align": (("--align",), {"choices": ["optimistic", "pessimistic"], "default": "optimistic"}),
+    "output": (("-o", "--output"), {"default": None, "help": "output path (default: stdout)"}),
+    "grid_step": (("--grid-step",), {"type": float, "default": 0.25}),
+    "trials": (("--trials",), {"type": int, "default": 10000}),
+    "seed": (("--seed",), {"type": int, "default": 52417}),
+    "report": (("--report",), {"default": None, "help": "write the JSON report here"}),
+}
 
+# the flags a library call takes, as (its keyword, the converter of the flag's value)
+_KEYWORDS = {
+    "kind": ("kind", str.upper),
+    "mode": ("mode", CombineMode),
+    "align": ("policy", AlignmentPolicy),
+}
 
-def _add_output_flag(sub):
-    sub.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
+# each command: help, arguments in declaration order, library call.  A dest
+# not in _FLAGS is an input document; "inputs" takes one or more of them and
+# reaches the call as one list.  The call's result leaves by its type: a soft
+# set as a document, a bool as exit 0 or 3, anything else as JSON on stdout.
+_COMMANDS = {
+    "union": ("union of two soft sets", "left right mode align output", soft_union),
+    "intersect": ("intersection of two soft sets", "left right mode align output", soft_intersection),
+    "complement": ("complement of a soft set", "input output", soft_complement),
+    "ringsum": ("cellwise ring sum (identical parameter sets)", "left right output", soft_ring_sum),
+    "ringprod": ("cellwise ring product (identical parameter sets)", "left right output", soft_ring_product),
+    "subset": ("exit 0 if the first set is contained in the second, else 3", "left right align", is_subset),
+    "elem-op": (
+        "difference operator applied cellwise on shared parameters",
+        "kind left right output",
+        lambda f, g, kind: soft_apply_operator(kind, f, g),
+    ),
+    "score": ("score interval per parameter and object", "input", score_table),
+    "rank": ("objects ordered by mean score across parameters", "input", rank_objects),
+    "check-laws": ("classify every registered identity", "grid_step trials seed report", None),  # _check_laws
+    "family-union": ("union of any number of soft sets", "inputs mode align output", family_union),
+    "family-intersect": (
+        "intersection of any number of soft sets", "inputs mode align output", family_intersection
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ivhfss", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("union", help="union of two soft sets")
-    p.add_argument("left"), p.add_argument("right")
-    _add_combine_flags(p), _add_output_flag(p)
-
-    p = subs.add_parser("intersect", help="intersection of two soft sets")
-    p.add_argument("left"), p.add_argument("right")
-    _add_combine_flags(p), _add_output_flag(p)
-
-    p = subs.add_parser("complement", help="complement of a soft set")
-    p.add_argument("input")
-    _add_output_flag(p)
-
-    p = subs.add_parser("ringsum", help="cellwise ring sum (identical parameter sets)")
-    p.add_argument("left"), p.add_argument("right")
-    _add_output_flag(p)
-
-    p = subs.add_parser("ringprod", help="cellwise ring product (identical parameter sets)")
-    p.add_argument("left"), p.add_argument("right")
-    _add_output_flag(p)
-
-    p = subs.add_parser("subset", help="exit 0 if the first set is contained in the second, else 3")
-    p.add_argument("left"), p.add_argument("right")
-    p.add_argument("--align", choices=["optimistic", "pessimistic"], default="optimistic")
-
-    p = subs.add_parser("elem-op", help="difference operator applied cellwise on shared parameters")
-    p.add_argument("--kind", required=True, choices=["o1", "o2", "o3", "o4"])
-    p.add_argument("left"), p.add_argument("right")
-    _add_output_flag(p)
-
-    p = subs.add_parser("score", help="score interval per parameter and object")
-    p.add_argument("input")
-
-    p = subs.add_parser("rank", help="objects ordered by mean score across parameters")
-    p.add_argument("input")
-
-    p = subs.add_parser("check-laws", help="classify every registered identity")
-    p.add_argument("--grid-step", type=float, default=0.25)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=52417)
-    p.add_argument("--report", default=None, help="write the JSON report here")
-
-    p = subs.add_parser("family-union", help="union of any number of soft sets")
-    p.add_argument("inputs", nargs="+")
-    _add_combine_flags(p), _add_output_flag(p)
-
-    p = subs.add_parser("family-intersect", help="intersection of any number of soft sets")
-    p.add_argument("inputs", nargs="+")
-    _add_combine_flags(p), _add_output_flag(p)
-
+    for name, (help_text, arguments, _call) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for dest in arguments.split():
+            if dest in _FLAGS:
+                names, keywords = _FLAGS[dest]
+                sub.add_argument(*names, **keywords)
+            else:
+                sub.add_argument(dest, nargs="+" if dest == "inputs" else None)
     return parser
 
 
@@ -135,79 +129,61 @@ def _write(path: str, text: str) -> None:
         raise IvhfssError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(soft_set: IVHFSoftSet, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(serialize_document(soft_set))
-    else:
-        _write(output, serialize_document(soft_set))
+def _check_laws(args) -> int:
+    from concurrent.futures import BrokenExecutor  # only this command needs them
+
+    from .laws import CheckConfig, run_suite, suite_to_json
+
+    try:
+        config = CheckConfig(grid_step=args.grid_step, random_trials=args.trials, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        reports = run_suite(config)
+    except BrokenExecutor:  # a worker was killed, by the out-of-memory killer for one
+        print("error: a worker process died while checking the laws", file=sys.stderr)
+        return EXIT_INPUT
+    for r in reports:
+        line = f"{r.law_id:10s} {r.status}"
+        if r.status == "holds" and not r.exhaustive:
+            line += " (on trials)"
+        if r.counterexample is not None:
+            line += f" (shrunk {r.shrink_steps} steps)"
+        print(line)
+    if args.report:
+        _write(args.report, json.dumps(suite_to_json(reports), indent=2) + "\n")
+    return EXIT_OK
 
 
 def _run(args) -> int:
-    if args.command == "union":
-        result = soft_union(
-            _load(args.left), _load(args.right),
-            AlignmentPolicy(args.align), CombineMode(args.mode),
-        )
-        _emit(result, args.output)
-    elif args.command == "intersect":
-        result = soft_intersection(
-            _load(args.left), _load(args.right),
-            AlignmentPolicy(args.align), CombineMode(args.mode),
-        )
-        _emit(result, args.output)
-    elif args.command == "complement":
-        _emit(soft_complement(_load(args.input)), args.output)
-    elif args.command == "ringsum":
-        _emit(soft_ring_sum(_load(args.left), _load(args.right)), args.output)
-    elif args.command == "ringprod":
-        _emit(soft_ring_product(_load(args.left), _load(args.right)), args.output)
-    elif args.command == "subset":
-        if not is_subset(_load(args.left), _load(args.right), AlignmentPolicy(args.align)):
+    if args.command == "check-laws":
+        return _check_laws(args)
+    _help, arguments, call = _COMMANDS[args.command]
+    documents, keywords = [], {}
+    for dest in arguments.split():
+        value = getattr(args, dest)
+        if dest in _KEYWORDS:
+            keyword, convert = _KEYWORDS[dest]
+            keywords[keyword] = convert(value)
+        elif dest == "inputs":
+            documents.append([_load(path) for path in value])
+        elif dest not in _FLAGS:
+            documents.append(_load(value))
+    result = call(*documents, **keywords)
+    if isinstance(result, IVHFSoftSet):
+        text = serialize_document(result)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            _write(args.output, text)
+    elif isinstance(result, bool):
+        if not result:
             print("not a subset", file=sys.stderr)
             return EXIT_NEGATIVE
-    elif args.command == "elem-op":
-        result = soft_apply_operator(
-            args.kind.upper(), _load(args.left), _load(args.right)
-        )
-        _emit(result, args.output)
-    elif args.command == "score":
-        json.dump(score_table(_load(args.input)), sys.stdout, indent=2)
+    else:
+        json.dump(result, sys.stdout, indent=2)
         sys.stdout.write("\n")
-    elif args.command == "rank":
-        json.dump(rank_objects(_load(args.input)), sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    elif args.command == "check-laws":
-        from concurrent.futures import BrokenExecutor  # only this command needs them
-
-        from .laws import CheckConfig, run_suite, suite_to_json
-
-        try:
-            config = CheckConfig(
-                grid_step=args.grid_step, random_trials=args.trials, seed=args.seed
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            reports = run_suite(config)
-        except BrokenExecutor:  # a worker was killed, by the out-of-memory killer for one
-            print("error: a worker process died while checking the laws", file=sys.stderr)
-            return EXIT_INPUT
-        for r in reports:
-            line = f"{r.law_id:10s} {r.status}"
-            if r.status == "holds" and not r.exhaustive:
-                line += " (on trials)"
-            if r.counterexample is not None:
-                line += f" (shrunk {r.shrink_steps} steps)"
-            print(line)
-        if args.report:
-            _write(args.report, json.dumps(suite_to_json(reports), indent=2) + "\n")
-    elif args.command == "family-union":
-        members = [_load(p) for p in args.inputs]
-        _emit(family_union(members, AlignmentPolicy(args.align), CombineMode(args.mode)), args.output)
-    elif args.command == "family-intersect":
-        members = [_load(p) for p in args.inputs]
-        _emit(family_intersection(members, AlignmentPolicy(args.align), CombineMode(args.mode)), args.output)
     return EXIT_OK
 
 

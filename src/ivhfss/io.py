@@ -23,7 +23,6 @@ same, and the parser sorts those values into the order they were written in.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 
 from . import _kernels_py as kernels
@@ -165,12 +164,18 @@ def _cell_text(cell) -> str:
     (``kernels._near_tie_runs``) can change order, and only if some of its
     values do not print exactly; such a run is sorted by its printed values.
 
-    A NaN or infinite endpoint, which only the trusted constructors can hold,
-    makes the cell's sum non-finite; it is refused, as JSON has no such value.
+    An endpoint outside [0,1], which only the trusted constructors can hold,
+    is refused: the parser would refuse it, and JSON has no NaN or infinity.
+    NaN fails both comparisons, so one range check covers every such value.
+    The ring sum can round a pair to lower > upper, so order is not checked.
     """
+    for lo, up in cell:
+        if not (0.0 <= lo <= 1.0 and 0.0 <= up <= 1.0):
+            raise OutOfRange(
+                "cannot serialize a cell with a non-finite endpoint or one outside [0,1]:"
+                f" {list(map(list, cell))}"
+            )
     sums = [lo + up for lo, up in cell]
-    if not math.isfinite(sum(sums)):
-        raise OutOfRange(f"cannot serialize a cell with a non-finite endpoint: {list(map(list, cell))}")
     texts = [f"[{lo + 0.0:.12g}, {up + 0.0:.12g}]" for lo, up in cell]  # _render_number, inlined
     for start, stop in kernels._near_tie_runs(sums):
         run = [(float(_render_number(lo)), float(_render_number(up))) for lo, up in cell[start:stop]]

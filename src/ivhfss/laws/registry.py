@@ -55,7 +55,6 @@ def _anything(ops) -> bool:
 @dataclass(frozen=True)
 class Law:
     law_id: str
-    description: str
     level: str  # "element" | "soft"
     parameter_mode: str  # "shared" | "mixed"
     equality: str  # "strict" | "equivalent" | "subset"
@@ -135,7 +134,6 @@ def _algebras(level: str, mode: str):
 
 def _law(
     law_id: str,
-    description: str,
     level: str,
     parameter_mode: str,
     equality: str,
@@ -149,7 +147,6 @@ def _law(
     regime, public = _algebras(level, mode)
     return Law(
         law_id,
-        description,
         level,
         parameter_mode,
         equality,
@@ -184,12 +181,7 @@ def _e212(i: str) -> Law:
         outer, inner = (A.intersection, A.union) if union_first else (A.union, A.intersection)
         return outer(A.complement(m1), A.complement(m2)), A.complement(inner(m1, m2))
 
-    desc = (
-        "complement swaps all-pairs union and intersection"
-        if union_first
-        else "complement swaps all-pairs intersection and union"
-    )
-    return _law(f"P2.12.{i}", desc, "element", "shared", "equivalent", "pairwise", 2, body)
+    return _law(f"P2.12.{i}", "element", "shared", "equivalent", "pairwise", 2, body)
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +189,17 @@ def _e212(i: str) -> Law:
 # ---------------------------------------------------------------------------
 
 _P35_SPECS = {
-    "i": ("union", "self", "left", "strict", "union with itself is itself"),
-    "ii": ("intersection", "self", "left", "strict", "intersection with itself is itself"),
-    "iii": ("union", "empty", "left", "equivalent", "union with the empty set is itself"),
-    "iv": ("intersection", "empty", "other", "equivalent", "intersection with the empty set is empty"),
-    "v": ("union", "full", "other", "equivalent", "union with the full set is full"),
-    "vi": ("intersection", "full", "left", "equivalent", "intersection with the full set is itself"),
+    "i": ("union", "self", "left", "strict"),
+    "ii": ("intersection", "self", "left", "strict"),
+    "iii": ("union", "empty", "left", "equivalent"),
+    "iv": ("intersection", "empty", "other", "equivalent"),
+    "v": ("union", "full", "other", "equivalent"),
+    "vi": ("intersection", "full", "left", "equivalent"),
 }
 
 
 def _e35(i: str) -> Law:
-    kind, partner, keep, equality, desc = _P35_SPECS[i]
+    kind, partner, keep, equality = _P35_SPECS[i]
 
     def body(A, f):
         if partner == "self":
@@ -219,7 +211,7 @@ def _e35(i: str) -> Law:
         lhs = A.union(f, g) if kind == "union" else A.intersection(f, g)
         return lhs, (f if keep == "left" else g)
 
-    return _law(f"P3.5.{i}", desc, "soft", "shared", equality, "aligned", 1, body)
+    return _law(f"P3.5.{i}", "soft", "shared", equality, "aligned", 1, body)
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +226,21 @@ def _e36(i: str) -> Law:
         inner, outer = (A.union, A.intersection) if union_inside else (A.intersection, A.union)
         return A.complement(inner(f, g)), outer(A.complement(f), A.complement(g))
 
-    desc = "complement of the %s is the %s of complements (shared parameters)" % (
-        ("union", "intersection") if union_inside else ("intersection", "union")
-    )
-    return _law(f"P3.6.{i}", desc, "soft", "shared", "strict", "pairwise", 2, body)
+    return _law(f"P3.6.{i}", "soft", "shared", "strict", "pairwise", 2, body)
 
 
 # sides: mc = meet of complements, jc = join of complements,
 #        cu = complement of union, ci = complement of intersection
 _P37_SPECS = {
-    "i": ("mc", "cu", "meet of complements within complement of union"),
-    "ii": ("ci", "jc", "complement of intersection within join of complements"),
-    "iii": ("mc", "ci", "meet of complements within complement of intersection"),
-    "iv": ("cu", "jc", "complement of union within join of complements"),
+    "i": ("mc", "cu"),
+    "ii": ("ci", "jc"),
+    "iii": ("mc", "ci"),
+    "iv": ("cu", "jc"),
 }
 
 
 def _e37(i: str) -> Law:
-    lhs_side, rhs_side, desc = _P37_SPECS[i]
+    lhs_side, rhs_side = _P37_SPECS[i]
 
     def body(A, f, g):
         fc, gc = A.complement(f), A.complement(g)
@@ -265,7 +254,7 @@ def _e37(i: str) -> Law:
 
     needs_overlap = i in ("i", "ii", "iii")
     constraint = _inter_nonempty((0, 1)) if needs_overlap else _anything
-    return _law(f"P3.7.{i}", desc, "soft", "mixed", "subset", "pairwise", 2, body, constraint)
+    return _law(f"P3.7.{i}", "soft", "mixed", "subset", "pairwise", 2, body, constraint)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +265,6 @@ def _e37(i: str) -> Law:
 def _comm_assoc(prop: str, i: str, parameter_mode: str) -> Law:
     union = i in ("i", "iii")
     is_comm = i in ("i", "ii")
-    opname = "union" if union else "intersection"
     restrict = not union and parameter_mode == "mixed"
 
     if is_comm:
@@ -286,9 +274,7 @@ def _comm_assoc(prop: str, i: str, parameter_mode: str) -> Law:
             return op(f, g), op(g, f)
 
         return _law(
-            f"{prop}.{i}",
-            f"{opname} is commutative ({parameter_mode} parameters)",
-            "soft", parameter_mode, "strict", "aligned", 2, body,
+            f"{prop}.{i}", "soft", parameter_mode, "strict", "aligned", 2, body,
             _inter_nonempty((0, 1)) if restrict else _anything,
         )
 
@@ -297,9 +283,7 @@ def _comm_assoc(prop: str, i: str, parameter_mode: str) -> Law:
         return op(f, op(g, h)), op(op(f, g), h)
 
     return _law(
-        f"{prop}.{i}",
-        f"{opname} is associative ({parameter_mode} parameters)",
-        "soft", parameter_mode, "strict", "sequence", 3, body,
+        f"{prop}.{i}", "soft", parameter_mode, "strict", "sequence", 3, body,
         _inter_nonempty((0, 1, 2)) if restrict else _anything,
     )
 
@@ -320,12 +304,7 @@ def _distrib(prop: str, i: str, parameter_mode: str, mode: str, equality: str) -
         constraint = _inter_nonempty((1, 2)) if union_outer else _inter_nonempty((0, 1), (0, 2))
     else:
         constraint = _anything
-    kind = "union over intersection" if union_outer else "intersection over union"
-    return _law(
-        f"{prop}.{i}",
-        f"{kind} distributivity ({parameter_mode} parameters)",
-        "soft", parameter_mode, equality, mode, 3, body, constraint,
-    )
+    return _law(f"{prop}.{i}", "soft", parameter_mode, equality, mode, 3, body, constraint)
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +326,8 @@ def _family(prop: str, i: str, parameter_mode: str, equality: str) -> Law:
             return A.family_intersection(comps), A.complement(A.family_union(members))
         return A.complement(A.family_intersection(members)), A.family_union(comps)
 
-    desc = (
-        "family meet of complements vs complement of family union"
-        if inter_of_comps_first
-        else "complement of family meet vs family union of complements"
-    )
     return _law(
-        f"{prop}.{i}",
-        desc + f" ({parameter_mode} parameters)",
-        "soft", parameter_mode, equality, "pairwise", 3, body, _common_parameter,
+        f"{prop}.{i}", "soft", parameter_mode, equality, "pairwise", 3, body, _common_parameter,
         operand_counts=(1, 2, 3),
     )
 
@@ -376,14 +348,7 @@ def _op_absorption(prop: str, i: str, kind: str) -> Law:
             return A.intersection(ring, oper), oper
         return A.union(ring, oper), ring
 
-    ring_name = "ring sum" if which == "sum" else "ring product"
-    side = "meet" if meet_side else "join"
-    keep = kind if meet_side else ring_name
-    return _law(
-        f"{prop}.{i}",
-        f"{side} of {ring_name} with {kind} gives {keep} back",
-        "element", "shared", "equivalent", "synchronized", 2, body,
-    )
+    return _law(f"{prop}.{i}", "element", "shared", "equivalent", "synchronized", 2, body)
 
 
 def _op_distribution(prop: str, i: str, kind: str) -> Law:
@@ -393,12 +358,7 @@ def _op_distribution(prop: str, i: str, kind: str) -> Law:
         op = A.union if union else A.intersection
         return A.operator(kind, op(m1, m2), m3), op(A.operator(kind, m1, m3), A.operator(kind, m2, m3))
 
-    opname = "union" if union else "intersection"
-    return _law(
-        f"{prop}.{i}",
-        f"{kind} distributes over all-pairs {opname}",
-        "element", "shared", "equivalent", "pairwise", 3, body,
-    )
+    return _law(f"{prop}.{i}", "element", "shared", "equivalent", "pairwise", 3, body)
 
 
 def registry() -> list[Law]:

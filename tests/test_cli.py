@@ -1,5 +1,6 @@
 """CLI behaviors: outputs, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 import conftest as golden
 from conftest import FORKED, assert_table
 from ivhfss import parse_document
-from ivhfss.cli import main
+from ivhfss.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -566,3 +567,32 @@ class TestDocumentBytes:
     def test_every_command_prints_the_pinned_bytes(self, shape, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # warnings name the inputs by relative path
         assert document_outputs(shape, tmp_path, capsys) == DOCUMENT_DIGESTS[shape]
+
+
+# --- the parser, pinned ---
+
+
+def _parser_rows(parser, prefix=""):
+    """One row per argparse action of ``parser`` and of each subcommand, in order."""
+    rows = []
+    for action in parser._actions:
+        choices = list(action.choices) if isinstance(action.choices, dict) else action.choices
+        rows.append([
+            prefix, action.option_strings, action.dest, action.nargs, choices, action.default,
+            action.required, action.help, getattr(action.type, "__name__", action.type),
+        ])
+        if isinstance(action, argparse._SubParsersAction):
+            rows += [[prefix, "command", sub.dest, sub.help] for sub in action._choices_actions]
+            for name, sub in action.choices.items():
+                rows += _parser_rows(sub, name)
+    return rows
+
+
+# recorded before the commands moved into one table
+PARSER_DIGEST = "dd0bbf3bacb25dbd5a984eed5473cba713bdfb96af9302f67ba6186b9a4fb116"
+
+
+class TestParser:
+    def test_every_action_is_pinned(self):
+        rows = json.dumps(_parser_rows(build_parser()), sort_keys=True)
+        assert hashlib.sha256(rows.encode()).hexdigest() == PARSER_DIGEST

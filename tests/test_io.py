@@ -152,6 +152,13 @@ class TestRoundTrip:
         with pytest.raises(OutOfRange, match="non-finite endpoint"):
             serialize_document(ss)
 
+    @pytest.mark.parametrize("bad", [(0.5, 2.0), (-0.25, 0.5)])
+    def test_endpoint_outside_the_unit_interval_is_refused(self, bad):
+        # the parser would refuse the printed cell, so the serializer does not print it
+        ss = IVHFSoftSet(("h1",), ("e1",), {("e1", "h1"): ((0.1, 0.2), bad)})
+        with pytest.raises(OutOfRange, match=r"outside \[0,1\]"):
+            serialize_document(ss)
+
     @given(
         st.lists(
             st.tuples(
