@@ -10,13 +10,12 @@ form, deduplicated).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable
 
 from . import _kernels_py as kernels
 from .errors import EmptyElement
-from .intervals import OPERATOR_KINDS, UnitInterval, construct_interval
+from .intervals import OPERATOR_KINDS, UnitInterval, _Frozen, construct_interval
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -39,8 +38,7 @@ _ALIGNED = CombineMode.ALIGNED
 _OPTIMISTIC = AlignmentPolicy.OPTIMISTIC
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class IVHFE:
+class IVHFE(_Frozen):
     """Nonempty multiset of unit intervals in canonical ascending order.
 
     The members are stored as the (lower, upper) float pairs the kernels work
@@ -50,11 +48,11 @@ class IVHFE:
     are the validating paths for outside data.
     """
 
-    pairs: tuple[tuple[float, float], ...]
+    __slots__ = __match_args__ = ("pairs",)
 
     def __init__(self, pairs: tuple[tuple[float, float], ...]):
-        # every operation result is wrapped: the slot's own setter is cheaper
-        # than the object.__setattr__ call of a frozen dataclass's __init__
+        # every operation result is wrapped: the slot's own setter is the
+        # cheapest way past _Frozen.__setattr__
         _set_pairs(self, pairs)
 
     @property

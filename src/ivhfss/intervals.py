@@ -9,7 +9,6 @@ broken by the lower endpoint (then the upper).  Midpoints are quantized to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 import math
 
@@ -19,16 +18,64 @@ from .errors import Inverted, OutOfRange
 OPERATOR_KINDS = ("O1", "O2", "O3", "O4")
 
 
-@dataclass(frozen=True, slots=True)
-class UnitInterval:
+class _Fields:
+    """Equality and repr by the fields a subclass names in ``__slots__``.
+
+    They behave as a dataclass's do: equal only to an instance of the same
+    class, printed as ``Name(field=value, ...)``, and unhashable.  Plain
+    classes, because importing ``dataclasses`` costs every CLI process
+    several milliseconds.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Frozen(_Fields):
+    """An immutable ``_Fields``: hashed by its field tuple, pickled by its constructor.
+
+    Assignment and deletion raise ``AttributeError``; a subclass's
+    ``__init__`` sets its slots through their descriptors.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class UnitInterval(_Frozen):
     """A closed interval [lower, upper] within [0, 1].
 
     The constructor trusts its input, as every operation result is built
     with it; ``construct_interval`` is the validating path for outside data.
     """
 
-    lower: float
-    upper: float
+    __slots__ = __match_args__ = ("lower", "upper")
+
+    def __init__(self, lower: float, upper: float):
+        _set_lower(self, lower)
+        _set_upper(self, upper)
 
     @property
     def width(self) -> float:
@@ -41,18 +88,26 @@ class UnitInterval:
         return f"[{self.lower:g},{self.upper:g}]"
 
 
+_set_lower, _set_upper = UnitInterval.lower.__set__, UnitInterval.upper.__set__
+
+
 class Verdict(Enum):
     LESS = "less"
     EQUAL = "equal"
     GREATER = "greater"
 
 
-@dataclass(frozen=True, slots=True)
-class RankOutcome:
+class RankOutcome(_Frozen):
     """Possibility degree of a >= b together with the total-order verdict."""
 
-    possibility: float
-    verdict: Verdict
+    __slots__ = __match_args__ = ("possibility", "verdict")
+
+    def __init__(self, possibility: float, verdict: Verdict):
+        _set_possibility(self, possibility)
+        _set_verdict(self, verdict)
+
+
+_set_possibility, _set_verdict = RankOutcome.possibility.__set__, RankOutcome.verdict.__set__
 
 
 def construct_interval(lower: float, upper: float) -> UnitInterval:

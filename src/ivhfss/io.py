@@ -22,6 +22,7 @@ same, and the parser sorts those values into the order they were written in.
 
 from __future__ import annotations
 
+from itertools import pairwise
 import json
 import warnings
 
@@ -45,7 +46,13 @@ def _expect(cond: bool, message: str) -> None:
 
 
 def decode_cell(raw, label: str) -> tuple[tuple[float, float], ...]:
-    """One element's validated (lower, upper) pairs, sorted; ``label`` names it in messages."""
+    """One element's validated (lower, upper) pairs, sorted; ``label`` names it in messages.
+
+    Pairs already in rank order are kept as they are, which one pass over
+    neighbours shows: a raw sum more than ``kernels._NEAR_TIE`` above its
+    predecessor's ranks above it, and only a near tie needs ``rank_key``.
+    Only a cell out of order is sorted, with a ``CanonicalizationWarning``.
+    """
     _expect(isinstance(raw, list) and raw, f"{label}: expected a nonempty list of [lower, upper] pairs")
     pairs = []
     for pair in raw:
@@ -66,10 +73,12 @@ def decode_cell(raw, label: str) -> tuple[tuple[float, float], ...]:
         except (ValueError, OverflowError) as exc:
             raise SchemaError(f"{label}: {exc}") from exc
         pairs.append((interval.lower, interval.upper))
-    ordered = kernels.sort_element(pairs)
-    if ordered != tuple(pairs):
-        warnings.warn(CanonicalizationWarning(label), stacklevel=3)
-    return ordered
+    near_tie, rank_key = kernels._NEAR_TIE, kernels.rank_key
+    for (al, au), (bl, bu) in pairwise(pairs):
+        if (bl + bu) - (al + au) <= near_tie and rank_key(bl, bu) < rank_key(al, au):
+            warnings.warn(CanonicalizationWarning(label), stacklevel=3)
+            return kernels.sort_element(pairs)
+    return tuple(pairs)
 
 
 def decode_soft_set(doc) -> IVHFSoftSet:
@@ -163,6 +172,7 @@ def _cell_text(cell) -> str:
     endpoint by at most half a unit in the 12th digit, so only a near-tie run
     (``kernels._near_tie_runs``) can change order, and only if some of its
     values do not print exactly; such a run is sorted by its printed values.
+    A run whose ends are equal holds only equal intervals, which print alike.
 
     An endpoint outside [0,1], which only the trusted constructors can hold,
     is refused: the parser would refuse it, and JSON has no NaN or infinity.
@@ -178,6 +188,8 @@ def _cell_text(cell) -> str:
     sums = [lo + up for lo, up in cell]
     texts = [f"[{lo + 0.0:.12g}, {up + 0.0:.12g}]" for lo, up in cell]  # _render_number, inlined
     for start, stop in kernels._near_tie_runs(sums):
+        if cell[start] == cell[stop - 1]:
+            continue
         run = [(float(_render_number(lo)), float(_render_number(up))) for lo, up in cell[start:stop]]
         if run != list(cell[start:stop]):
             texts[start:stop] = [

@@ -9,8 +9,7 @@ operations.  Objects are ranked by their mean score across parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from . import _kernels_py as kernels
 from .elements import (
@@ -31,13 +30,12 @@ from .errors import (
     ParameterMismatch,
     UniverseMismatch,
 )
-from .intervals import OPERATOR_KINDS, UnitInterval, Verdict, rank_compare, rank_key
+from .intervals import OPERATOR_KINDS, UnitInterval, Verdict, _Fields, rank_compare, rank_key
 
 Pairs = tuple  # an element's (lower, upper) pairs, as IVHFE.pairs holds them
 
 
-@dataclass(slots=True)
-class IVHFSoftSet:
+class IVHFSoftSet(_Fields):
     """Universe, parameter list, and the (parameter, object) -> cell table.
 
     Each cell is stored as its element's (lower, upper) pairs; ``cell`` builds
@@ -47,9 +45,17 @@ class IVHFSoftSet:
     validating paths for outside data.
     """
 
-    universe: tuple[str, ...]
-    parameters: tuple[str, ...]
-    pairs: dict[tuple[str, str], Pairs]
+    __slots__ = __match_args__ = ("universe", "parameters", "pairs")
+
+    def __init__(
+        self,
+        universe: tuple[str, ...],
+        parameters: tuple[str, ...],
+        pairs: dict[tuple[str, str], Pairs],
+    ):
+        self.universe = universe
+        self.parameters = parameters
+        self.pairs = pairs
 
     def cell(self, parameter: str, obj: str) -> IVHFE:
         return IVHFE(self.pairs[(parameter, obj)])

@@ -1,8 +1,9 @@
 """Source hygiene that needs no linter.
 
-Every imported name is used, importing the CLI leaves the law checker out,
-importing the law checker leaves the process pool out, and the README's usage
-block names every CLI command with exactly its flags.
+Every imported name is used, importing the CLI leaves the law checker and
+``dataclasses``, ``inspect`` and ``typing`` out, importing the law checker
+leaves the process pool out, and the README's usage block names every CLI
+command with exactly its flags.
 """
 
 import ast
@@ -40,15 +41,23 @@ def test_every_import_is_used(path):
     assert not unused, f"unused imports in {path.name}: {unused}"
 
 
-def _fresh_exit_code(code):
+def _fresh_exit_code(code, *flags):
+    """The exit code of ``python *flags -c code`` in a fresh interpreter that finds ``ivhfss``."""
     path = [str(SRC.parent)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    return subprocess.run([sys.executable, "-c", code], env=env).returncode
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env).returncode
 
 
 def test_cli_import_leaves_the_law_checker_out():
     # every command pays for what ivhfss.cli imports; only check-laws needs ivhfss.laws
     assert _fresh_exit_code("import sys, ivhfss.cli; sys.exit('ivhfss.laws' in sys.modules)") == 0
+
+
+def test_cli_import_leaves_dataclasses_and_typing_out():
+    # they cost every document command several milliseconds; -S skips the
+    # site module, whose .pth hooks may import typing before ivhfss runs
+    code = "import sys, ivhfss.cli; sys.exit(bool({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    assert _fresh_exit_code(code, "-S") == 0
 
 
 def test_law_checker_import_leaves_the_pool_out():

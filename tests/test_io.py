@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 from ivhfss import _kernels_py as kernels
 from ivhfss import construct_interval, parse_document, serialize_document
 from ivhfss.errors import IvhfssError, OutOfRange, ParseError, SchemaError
-from ivhfss.io import CanonicalizationWarning, _render_number, decode_cell
+from ivhfss.io import CanonicalizationWarning, _cell_text, _render_number, decode_cell
 from ivhfss.softsets import IVHFSoftSet
 
 DATA = Path(__file__).parent / "data"
@@ -278,3 +278,111 @@ class TestRenderNumber:
     @example(1 - 2**-53)
     def test_same_text_as_the_integral_branch(self, x):
         assert _render_number(x) == render_as_before(x)
+
+
+# --- the decoder's order check and the renderer's near-tie runs ---
+
+# cells a decoder or renderer can meet: JSON integers, -0.0, and endpoints
+# that do not print exactly at 12 digits (0.1 + 0.2 prints as 0.3)
+LITERAL_PAIRS = (
+    [0, 1], [0, 0], [1, 1], [-0.0, 0.0], [-0.0, 0.5], [0, 0.5], [0.0, 0.5],
+    [0.1, 0.1 + 0.2], [0.7 + 0.1, 0.9], [1 / 3, 2 / 3],
+)
+
+
+@st.composite
+def near_tie_cells(draw):
+    """1-40 valid [lower, upper] lists, in no particular order.
+
+    Besides free intervals they hold near-tie chains, whose neighbours' raw
+    sums lie 1e-16 to 1e-11 apart (or exactly ``_NEAR_TIE``) while their
+    lower endpoints differ, duplicates and ``LITERAL_PAIRS``.
+    """
+    cell = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(("free", "chain", "duplicate", "literal")))
+        if kind == "chain" and cell:
+            lo, up = map(float, cell[-1])
+            gap = draw(st.floats(1e-16, 1e-11) | st.just(kernels._NEAR_TIE)) * draw(st.sampled_from((1, -1)))
+            shift = draw(st.floats(-1e-3, 1e-3) | st.just(0.0))
+            if 0.0 <= lo + shift <= up - shift + gap <= 1.0:
+                cell.append([lo + shift, up - shift + gap])
+                continue
+        if kind == "duplicate" and cell:
+            cell.append(list(draw(st.sampled_from(cell))))
+        elif kind == "literal":
+            cell.append(list(draw(st.sampled_from(LITERAL_PAIRS))))
+        else:
+            cell.append(sorted(draw(st.lists(st.floats(0, 1), min_size=2, max_size=2))))
+    return cell
+
+
+def float_pairs(raw):
+    return tuple((float(lo), float(up)) for lo, up in raw)
+
+
+def rank_sorted(raw):
+    return sorted(raw, key=lambda p: kernels.rank_key(float(p[0]), float(p[1])))
+
+
+# sums 2e-13 apart round to one quantized midpoint, so the lower endpoint
+# decides: this order is canonical although its raw sums descend
+NEAR_TIE_CANONICAL = [[0.2000000000006, 0.8000000000006], [0.2000000000014, 0.8]]
+
+
+class TestDecodeOrder:
+    @given(near_tie_cells().flatmap(lambda cell: st.just(rank_sorted(cell)) | st.permutations(cell)))
+    @example(NEAR_TIE_CANONICAL)
+    @example(NEAR_TIE_CANONICAL[::-1])
+    @example([[0, 0], [0.0, 1e-11]])  # raw sums exactly _NEAR_TIE apart
+    @example([[0.0, 1e-11], [0, 0]])
+    @example([[0.0, 0.5], [-0.0, 0.5], [0, 0.5]])
+    def test_decode_is_the_sort_and_warns_exactly_when_it_moves(self, raw):
+        pairs = float_pairs(raw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = decode_cell(raw, "cell e/h")
+        want = kernels.sort_element(pairs)
+        assert repr(got) == repr(want)  # repr tells -0.0 from 0.0
+        assert [w.category for w in caught] == ([CanonicalizationWarning] if want != pairs else [])
+
+    def test_a_canonical_cell_decodes_without_a_sort(self, monkeypatch):
+        def no_sort(intervals):
+            raise AssertionError(f"sorted {intervals}")
+
+        raw = [[0, 0], [0.1, 0.2], [0.1, 0.2]] + NEAR_TIE_CANONICAL + [[0.5, 1]]
+        monkeypatch.setattr(kernels, "sort_element", no_sort)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert decode_cell(raw, "cell e/h") == float_pairs(raw)
+            with pytest.raises(AssertionError, match="sorted"):
+                decode_cell(raw[::-1], "cell e/h")
+        assert [w.category for w in caught] == [CanonicalizationWarning]  # the reversed cell only
+
+
+def cell_text_as_before(cell):
+    """``_cell_text`` without its range check, as it was before it skipped
+    runs of equal intervals: every near-tie run is rendered, read back and
+    compared."""
+    sums = [lo + up for lo, up in cell]
+    texts = [f"[{_render_number(lo)}, {_render_number(up)}]" for lo, up in cell]
+    for start, stop in kernels._near_tie_runs(sums):
+        run = [(float(_render_number(lo)), float(_render_number(up))) for lo, up in cell[start:stop]]
+        if run != list(cell[start:stop]):
+            texts[start:stop] = [
+                f"[{_render_number(lo)}, {_render_number(up)}]" for lo, up in kernels.sort_element(run)
+            ]
+    return ", ".join(texts)
+
+
+class TestCellText:
+    @given(near_tie_cells())
+    @example([[0.1, 0.1 + 0.2]] * 3)
+    @example([[0.1, 0.1 + 0.2]] * 2 + [[0.1, 0.3]] + [[0.7 + 0.1, 0.9]] * 2)
+    @example(NEAR_TIE_CANONICAL * 2 + [[0.2000000000014, 0.8]])
+    @example([[-0.0, 0.5], [0.0, 0.5], [0.2, 0.3], [0, 0.5]])
+    # equal lower endpoints at both ends of a run whose middle moves to the front when printed
+    @example([[0.1, 0.5], [0.05000000000004, 0.55000000000047], [0.1, 0.5000000000015]])
+    def test_same_text_as_rendering_every_run(self, raw):
+        cell = kernels.sort_element(float_pairs(raw))
+        assert _cell_text(cell) == cell_text_as_before(cell)
